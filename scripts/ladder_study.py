@@ -7,7 +7,7 @@ the negative half: on pure-fast-l2 the pathwise mean-square gap against
 the averaged equation driven by the same Brownian motion refuses to
 vanish and settles at T * E (sigma - sigma_bar)^2 = 2 T.
 
-Usage: python scripts/ladder_study.py [--n-paths 10000] [--workers 4]
+Usage: python scripts/ladder_study.py [--n-paths 10000]
 """
 
 import argparse
@@ -26,7 +26,6 @@ def main(argv=None):
     parser.add_argument("--n-paths", type=int, default=10_000)
     parser.add_argument("--horizon", type=float, default=1.0)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--workers", type=int, default=4)
     args = parser.parse_args(argv)
 
     config = SimConfig(
@@ -35,9 +34,7 @@ def main(argv=None):
     )
 
     start = time.monotonic()
-    conv = run_averaging_convergence(
-        get_builtin("ou-coupled"), LADDER, config, workers=args.workers
-    )
+    conv = run_averaging_convergence(get_builtin("ou-coupled"), LADDER, config)
     print(f"averaging convergence ({time.monotonic() - start:.1f}s)")
     print(f"{'epsilon':>8}  {'w1 terminal':>12}")
     for eps, w1 in zip(conv.epsilons, conv.w1_terminal):
@@ -45,7 +42,7 @@ def main(argv=None):
     print(f"noise floor {conv.noise_floor:.6f}")
 
     start = time.monotonic()
-    l2 = run_l2_failure(config, LADDER, workers=args.workers)
+    l2 = run_l2_failure(config, LADDER)
     print(f"\nmean-square failure ({time.monotonic() - start:.1f}s)")
     print(f"{'epsilon':>8}  {'E gap^2':>10}  {'rel err':>8}  {'w1':>10}")
     for eps, gap, rel, w1 in zip(

@@ -41,7 +41,6 @@ from .errors import (
 from .experiments import (
     ConvergenceReport,
     L2Report,
-    block_scale_diagnostic,
     cli_main,
     rerun_from_manifest,
     run_averaging_convergence,

@@ -16,8 +16,9 @@ Two headline studies plus plumbing:
 
 Every public runner embeds its full parameter set in the report, and the
 CLI writes a run manifest next to each artifact so any result can be
-reproduced bit for bit, including under a different worker count (random
-streams are keyed per path, never per worker).
+reproduced bit for bit (random streams are keyed per path). The runners
+and the CLI still accept a worker count, which the manifest records, but
+every run is serial and the count has no effect.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .models import (
     list_builtin_models,
     sample_tuple_grid,
 )
-from .simulate import _STIFFNESS_GUARD, EQ_FAST, EQ_SLOW, SimConfig, _run_chunks, path_stream, simulate_averaged, simulate_coupled
+from .simulate import _STIFFNESS_GUARD, SimConfig, simulate_averaged, simulate_coupled
 from .stationary import EmpiricalMeasure, stationary_density
 
 ARTIFACT_VERSION = "1"
@@ -138,6 +139,7 @@ def run_averaging_convergence(
 
     ``epsilon = inf`` is accepted as a surrogate that freezes the fast
     state at y0, giving the O(1) un-averaged gap the ladder descends from.
+    ``workers`` is accepted for older callers and has no effect.
     """
     eps = _validate_epsilons(epsilons)
     report = check_assumptions(model, sample_tuple_grid(model, 256, seed=config.seed))
@@ -155,7 +157,7 @@ def run_averaging_convergence(
             lo = config.x0 - 10.0 if not dom.bounded_below else dom.lower
             hi = config.x0 + 10.0 if not dom.bounded_above else dom.upper
             x_grid = np.linspace(lo, hi, 1025)
-    avg = build_averaged_model(model, x_grid, workers=workers)
+    avg = build_averaged_model(model, x_grid)
 
     w1_terminal = []
     gaps = {name: [] for name in _FUNCTIONALS} if functionals else None
@@ -163,20 +165,20 @@ def run_averaging_convergence(
     for e in eps:
         if e == np.inf:
             cfg = replace(config, epsilon=1.0)
-            coupled = simulate_coupled(_frozen_coupling_surrogate(model), cfg, workers=workers)
+            coupled = simulate_coupled(_frozen_coupling_surrogate(model), cfg)
         else:
             cfg = _config_for_epsilon(config, e)
             finest = cfg
-            coupled = simulate_coupled(model, cfg, workers=workers)
-        averaged = simulate_averaged(avg, cfg, variant=0, workers=workers)
+            coupled = simulate_coupled(model, cfg)
+        averaged = simulate_averaged(avg, cfg, variant=0)
         xc, xa = coupled.terminal_slow(), averaged.terminal_slow()
         w1_terminal.append(_w1_samples(xc, xa))
         if gaps is not None:
             for name, phi in _FUNCTIONALS.items():
                 gaps[name].append(float(abs(np.mean(phi(xc)) - np.mean(phi(xa)))))
     cfg = finest if finest is not None else replace(config, epsilon=1.0)
-    floor_a = simulate_averaged(avg, cfg, variant=1, workers=workers)
-    floor_b = simulate_averaged(avg, cfg, variant=2, workers=workers)
+    floor_a = simulate_averaged(avg, cfg, variant=1)
+    floor_b = simulate_averaged(avg, cfg, variant=2)
     noise_floor = _w1_samples(floor_a.terminal_slow(), floor_b.terminal_slow())
     return ConvergenceReport(
         model=model.name,
@@ -223,7 +225,8 @@ def run_l2_failure(config: SimConfig, epsilons, workers=1) -> L2Report:
     is the pathwise one the ergodic limit predicts:
     T times the invariant mean of (sigma(y) - sigmabar)^2. Terminal W1
     against an independent averaged ensemble is reported alongside: the
-    laws merge while the paths refuse to.
+    laws merge while the paths refuse to. ``workers`` is accepted for
+    older callers and has no effect.
     """
     eps = _validate_epsilons(epsilons)
     if any(e == np.inf for e in eps):
@@ -236,7 +239,7 @@ def run_l2_failure(config: SimConfig, epsilons, workers=1) -> L2Report:
         dom.upper if dom.bounded_above else config.x0 + span,
         1025,
     )
-    avg = build_averaged_model(model, x_grid, workers=workers)
+    avg = build_averaged_model(model, x_grid)
     _, sigma_bar = averaged_diffusion(model, config.x0)
     predicted = config.horizon * _expectation(
         model, config.x0, lambda y: (model.coefficients.sigma(config.x0, y) - sigma_bar) ** 2
@@ -246,14 +249,14 @@ def run_l2_failure(config: SimConfig, epsilons, workers=1) -> L2Report:
     cfg = None
     for e in eps:
         cfg = _config_for_epsilon(config, e)
-        coupled = simulate_coupled(model, cfg, workers=workers)
-        paired = simulate_averaged(avg, cfg, paired=True, workers=workers)
+        coupled = simulate_coupled(model, cfg)
+        paired = simulate_averaged(avg, cfg, paired=True)
         xc, xp = coupled.terminal_slow(), paired.terminal_slow()
         gap.append(float(np.mean((xc - xp) ** 2)))
-        independent = simulate_averaged(avg, cfg, variant=1, workers=workers)
+        independent = simulate_averaged(avg, cfg, variant=1)
         w1s.append(_w1_samples(xc, independent.terminal_slow()))
-    floor_a = simulate_averaged(avg, cfg, variant=1, workers=workers)
-    floor_b = simulate_averaged(avg, cfg, variant=2, workers=workers)
+    floor_a = simulate_averaged(avg, cfg, variant=1)
+    floor_b = simulate_averaged(avg, cfg, variant=2)
     noise_floor = _w1_samples(floor_a.terminal_slow(), floor_b.terminal_slow())
     rel = [abs(g - predicted) / predicted for g in gap] if predicted > 0 else [np.inf] * len(gap)
     return L2Report(
@@ -266,60 +269,6 @@ def run_l2_failure(config: SimConfig, epsilons, workers=1) -> L2Report:
         horizon=config.horizon,
         n_paths=config.n_paths,
     )
-
-
-def block_scale_diagnostic(model: ModelSpec, epsilon, config: SimConfig) -> dict:
-    """Frozen-vs-true fast gap over one block of length eps * ln ln (1/eps).
-
-    The block length is the scale on which the fast state equilibrates
-    while the slow state barely moves; the reported mean gap between the
-    true fast path and a copy with the slow state frozen at x0 (same
-    Brownian increments) measures how good that approximation is at this
-    epsilon. Diagnostic only.
-    """
-    eps = float(epsilon)
-    if not 0.0 < eps < np.exp(-1.0):
-        raise ConfigError("block scale needs 0 < epsilon < 1/e")
-    delta = eps * np.log(np.log(1.0 / eps))
-    h = eps * config.fast_substep
-    n_steps = max(1, int(np.ceil(delta / h - 1e-12)))
-    h = delta / n_steps
-    sqrt_h = np.sqrt(h)
-    c = model.coefficients
-    gap_out = np.empty(config.n_paths)
-
-    def worker(p0, p1):
-        n = p1 - p0
-        xi = np.empty((n, n_steps))
-        eta = np.empty((n, n_steps))
-        for i in range(n):
-            xi[i] = path_stream(config.seed, p0 + i, EQ_SLOW).standard_normal(n_steps)
-            eta[i] = path_stream(config.seed, p0 + i, EQ_FAST).standard_normal(n_steps)
-        x = np.full(n, float(config.x0))
-        y_true = np.full(n, float(config.y0))
-        y_frozen = np.full(n, float(config.y0))
-        for k in range(n_steps):
-            dx = c.b(x, y_true) * h + c.sigma(x, y_true) * (sqrt_h * xi[:, k])
-            y_true = y_true + c.f(x, y_true) * (h / eps) + c.g(x, y_true) * (
-                sqrt_h / np.sqrt(eps) * eta[:, k]
-            )
-            y_frozen = y_frozen + c.f(config.x0, y_frozen) * (h / eps) + c.g(
-                config.x0, y_frozen
-            ) * (sqrt_h / np.sqrt(eps) * eta[:, k])
-            x = model.slow_domain.reflect(x + dx)
-            y_true = model.fast_domain.reflect(y_true)
-            y_frozen = model.fast_domain.reflect(y_frozen)
-        gap_out[p0:p1] = np.abs(y_true - y_frozen)
-        return p0
-
-    _run_chunks(worker, config.n_paths, config.chunk_size, workers=1)
-    return {
-        "epsilon": eps,
-        "delta": float(delta),
-        "n_steps": n_steps,
-        "mean_terminal_gap": float(np.mean(gap_out)),
-        "n_paths": config.n_paths,
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -400,19 +349,23 @@ def _parse_pairs(text):
     return pairs
 
 
+def _read_config(path, known):
+    """The --config file: a flat JSON object with keys among ``known``."""
+    with open(path) as fh:
+        overrides = json.load(fh)
+    if not isinstance(overrides, dict):
+        raise ConfigError("--config must hold a flat JSON object")
+    unknown = set(overrides) - set(known)
+    if unknown:
+        raise ConfigError(f"unknown config fields: {sorted(unknown)}")
+    return overrides
+
+
 def _load_sim_config(args, epsilon):
     """SimConfig from defaults, the --config file, and the --seed flag."""
     merged = dict(_CONFIG_DEFAULTS)
     if args.config is not None:
-        with open(args.config) as fh:
-            overrides = json.load(fh)
-        if not isinstance(overrides, dict):
-            raise ConfigError("--config must hold a flat JSON object")
-        known = {f.name for f in fields(SimConfig)}
-        unknown = set(overrides) - known
-        if unknown:
-            raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-        merged.update(overrides)
+        merged.update(_read_config(args.config, {f.name for f in fields(SimConfig)}))
     merged["epsilon"] = float(merged.get("epsilon", epsilon))
     merged["seed"] = int(args.seed if args.seed is not None else merged.get("seed", 0))
     return SimConfig(**merged)
@@ -478,7 +431,7 @@ def _cmd_distance(args):
 def _cmd_averaged(args):
     model = get_builtin(args.model)
     grid = _parse_x_grid(args.x_grid)
-    avg = build_averaged_model(model, grid, workers=args.workers)
+    avg = build_averaged_model(model, grid)
     params = {"x_grid": args.x_grid}
     if args.format == "csv":
         return avg.to_csv(), params
@@ -529,7 +482,7 @@ def _cmd_converge(args):
         raise ConfigError("the epsilon ladder needs at least one finite value")
     config = _load_sim_config(args, anchor)
     report = run_averaging_convergence(
-        model, eps, config, functionals=args.functionals, workers=args.workers
+        model, eps, config, functionals=args.functionals
     )
     params = {
         "epsilons": args.epsilons,
@@ -547,7 +500,7 @@ def _cmd_l2fail(args):
         raise ConfigError("the mean-square study runs on the pure-fast-l2 model only")
     eps = _parse_floats(args.epsilons, "--epsilons")
     config = _load_sim_config(args, eps[0])
-    report = run_l2_failure(config, eps, workers=args.workers)
+    report = run_l2_failure(config, eps)
     params = {
         "epsilons": args.epsilons,
         "sim_config": {f.name: getattr(config, f.name) for f in fields(SimConfig)},
@@ -568,8 +521,7 @@ def _cmd_decay(args):
             raise ConfigError("--mode coupling needs --y-other")
         n_paths = 256
         if args.config is not None:
-            with open(args.config) as fh:
-                n_paths = int(json.load(fh).get("n_paths", 256))
+            n_paths = int(_read_config(args.config, {"n_paths"}).get("n_paths", n_paths))
         curve = w1_decay_coupling(
             model, args.x, args.y0, args.y_other, times,
             n_paths=n_paths, seed=_resolved_seed(args),
@@ -616,7 +568,8 @@ def _build_parser():
         sp.add_argument("--format", choices=("json", "csv"), default="json")
         sp.add_argument("--config", default=None,
                         help="JSON file with SimConfig fields (flat key-value)")
-        sp.add_argument("--workers", type=int, default=1)
+        sp.add_argument("--workers", type=int, default=1,
+                        help="recorded in the manifest; has no effect")
 
     sp = sub.add_parser("list-models", help="names and shapes of the built-in models")
     common(sp, model_required=False)
@@ -715,8 +668,8 @@ def rerun_from_manifest(manifest_path, out=None, workers=None) -> int:
     """Re-run a CLI invocation from its manifest, optionally redirected.
 
     The manifest stores the exact argv; ``out`` and ``workers`` override
-    the corresponding flags so a rerun can write elsewhere or use a
-    different level of parallelism (results are identical either way).
+    the corresponding flags so a rerun can write elsewhere. ``--workers``
+    is only recorded, so manifests that set it replay unchanged.
     """
     with open(manifest_path) as fh:
         manifest = json.load(fh)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.integrate import cumulative_trapezoid, simpson, trapezoid
+from scipy.integrate import cumulative_trapezoid, simpson
 from scipy.special import logsumexp
 
 from .errors import FitError
@@ -55,11 +55,6 @@ def log_trapezoid_panels(logf, y):
 def log_trapezoid(logf, y):
     """log of the trapezoid integral of exp(logf) over y, overflow-safe."""
     return float(logsumexp(log_trapezoid_panels(logf, y)))
-
-
-def log_cumsum(logv):
-    """log of the running sum of exp(logv)."""
-    return np.logaddexp.accumulate(logv)
 
 
 def equidistribute(probe, weight, n):
@@ -208,7 +203,3 @@ def abs_linear_integral(left, right, widths):
     cross = np.divide(a * a + b * b, 2.0 * denom, out=np.zeros_like(denom), where=denom > 0.0)
     per_cell = np.where(same, 0.5 * (np.abs(a) + np.abs(b)), cross)
     return float(np.sum(per_cell * h))
-
-
-def trapezoid_integral(values, grid):
-    return float(trapezoid(values, grid))

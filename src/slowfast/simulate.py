@@ -14,8 +14,8 @@ Randomness
 ----------
 Every path owns counter-based streams keyed by
 (seed, path index, equation tag, variant) through Philox. The key layout
-makes ensembles reproducible bit for bit regardless of chunking or worker
-count, and lets an averaged run replay exactly the slow-equation Gaussian
+makes ensembles reproducible bit for bit regardless of chunking, and
+lets an averaged run replay exactly the slow-equation Gaussian
 increments that a coupled run consumed (``paired=True``), which is what
 makes pathwise comparisons of the two equations meaningful.
 """
@@ -23,7 +23,6 @@ makes pathwise comparisons of the two equations meaningful.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -201,19 +200,6 @@ class Ensemble:
         np.savez(path, **arrays)
 
 
-def _chunk_ranges(n_paths, chunk_size):
-    starts = range(0, n_paths, chunk_size)
-    return [(s, min(s + chunk_size, n_paths)) for s in starts]
-
-
-def _run_chunks(worker, n_paths, chunk_size, workers):
-    ranges = _chunk_ranges(n_paths, chunk_size)
-    if workers <= 1 or len(ranges) == 1:
-        return [worker(p0, p1) for p0, p1 in ranges]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda r: worker(*r), ranges))
-
-
 def _draw_rows(seed, p0, p1, tag, variant, n_draws):
     out = np.empty((p1 - p0, n_draws))
     for i, p in enumerate(range(p0, p1)):
@@ -232,7 +218,43 @@ def _check_finite(x, step, p0):
     )
 
 
-def simulate_coupled(model: ModelSpec, config: SimConfig, workers=1) -> Ensemble:
+def _euler_loop(config, n_sub, draw, start, step, record=lambda state: state):
+    """The Euler-Maruyama loop behind every simulator, one chunk of paths at a time.
+
+    ``draw(p0, p1)`` returns the chunk's noise as a tuple of arrays with one
+    row per path, column k feeding step k + 1. ``start(n)`` is the initial
+    state of n paths, a tuple of arrays, and ``step(state, columns)`` the
+    next one; every component is checked for finiteness after every step.
+    ``record(state)``, the state itself by default, gives the arrays stored
+    on the ``config.store`` grid, whose slow step spans ``n_sub`` loop steps. Returns the stored times and
+    one (n_paths, n_stored) array per recorded quantity.
+    """
+    stored = config.stored_indices()
+    store_at = {int(j) * n_sub: k for k, j in enumerate(stored)}
+    n_steps = config.n_slow_steps() * n_sub
+    out = None
+    for p0 in range(0, config.n_paths, config.chunk_size):
+        p1 = min(p0 + config.chunk_size, config.n_paths)
+        noise = draw(p0, p1)
+        state = start(p1 - p0)
+        if out is None:
+            out = [np.empty((config.n_paths, stored.size)) for _ in record(state)]
+        for k in range(n_steps + 1):
+            if k > 0:
+                state = step(state, [w[:, k - 1] for w in noise])
+                for v in state:
+                    _check_finite(v, k, p0)
+            col = store_at.get(k)
+            if col is not None:
+                for o, v in zip(out, record(state)):
+                    o[p0:p1, col] = v
+        # drop this chunk's noise before the next chunk draws its own, so that
+        # two chunks' noise matrices are never alive at once
+        del noise
+    return stored * config.dt, out
+
+
+def simulate_coupled(model: ModelSpec, config: SimConfig) -> Ensemble:
     """Integrate the coupled pair for every path in the ensemble.
 
     Both states advance on the shared fast grid; slow states are recorded
@@ -250,112 +272,97 @@ def simulate_coupled(model: ModelSpec, config: SimConfig, workers=1) -> Ensemble
     if not np.all(model.fast_domain.contains(config.y0)):
         raise ConfigError("y0 outside the fast domain")
 
-    n_slow = config.n_slow_steps()
     n_sub = max(1, int(np.ceil(config.dt / (config.epsilon * config.fast_substep) - 1e-12)))
     h = config.dt / n_sub
-    n_fast = n_slow * n_sub
+    n_fast = config.n_slow_steps() * n_sub
     sqrt_h = np.sqrt(h)
     inv_eps = 1.0 / config.epsilon
     sqrt_inv_eps = 1.0 / np.sqrt(config.epsilon)
-    stored = config.stored_indices()
-    store_set = {int(j) * n_sub: k for k, j in enumerate(stored)}
-
     c = model.coefficients
-    slow_out = np.empty((config.n_paths, stored.size))
-    fast_out = np.empty((config.n_paths, stored.size))
 
-    def worker(p0, p1):
-        xi = _draw_rows(config.seed, p0, p1, EQ_SLOW, 0, n_fast)
-        eta = _draw_rows(config.seed, p0, p1, EQ_FAST, 0, n_fast)
-        x = np.full(p1 - p0, float(config.x0))
-        y = np.full(p1 - p0, float(config.y0))
-        if 0 in store_set:
-            slow_out[p0:p1, store_set[0]] = x
-            fast_out[p0:p1, store_set[0]] = y
-        for k in range(n_fast):
-            b = c.b(x, y)
-            s = c.sigma(x, y)
-            f = c.f(x, y)
-            g = c.g(x, y)
-            x = x + b * h + s * (sqrt_h * xi[:, k])
-            y = y + f * (h * inv_eps) + g * (sqrt_h * sqrt_inv_eps * eta[:, k])
-            x = model.slow_domain.reflect(x)
-            y = model.fast_domain.reflect(y)
-            _check_finite(x, k + 1, p0)
-            _check_finite(y, k + 1, p0)
-            idx = store_set.get(k + 1)
-            if idx is not None:
-                slow_out[p0:p1, idx] = x
-                fast_out[p0:p1, idx] = y
-        return p0
+    def draw(p0, p1):
+        return (
+            _draw_rows(config.seed, p0, p1, EQ_SLOW, 0, n_fast),
+            _draw_rows(config.seed, p0, p1, EQ_FAST, 0, n_fast),
+        )
 
-    _run_chunks(worker, config.n_paths, config.chunk_size, workers)
+    def step(state, noise):
+        x, y = state
+        xi, eta = noise
+        b = c.b(x, y)
+        s = c.sigma(x, y)
+        f = c.f(x, y)
+        g = c.g(x, y)
+        x = x + b * h + s * (sqrt_h * xi)
+        y = y + f * (h * inv_eps) + g * (sqrt_h * sqrt_inv_eps * eta)
+        return model.slow_domain.reflect(x), model.fast_domain.reflect(y)
+
+    def start(n):
+        return np.full(n, float(config.x0)), np.full(n, float(config.y0))
+
+    times, (slow, fast) = _euler_loop(config, n_sub, draw, start, step)
     return Ensemble(
         model=model.name,
         kind="coupled",
         config=config,
-        times=stored * config.dt,
-        slow=slow_out,
-        fast=fast_out,
+        times=times,
+        slow=slow,
+        fast=fast,
         stream_ids=np.arange(config.n_paths),
     )
 
 
-def simulate_frozen(model: ModelSpec, x, config: SimConfig, workers=1) -> Ensemble:
+def _frozen_copies(model: ModelSpec, x, config: SimConfig, y0s, record=lambda ys: ys):
+    """Copies of the frozen fast equation started at ``y0s``, all on the same noise."""
+    if not np.all(model.slow_domain.contains(x)):
+        raise ConfigError("frozen slow coordinate outside the slow domain")
+    for y0 in y0s:
+        if not np.all(model.fast_domain.contains(y0)):
+            raise ConfigError("initial fast state outside the fast domain")
+
+    n_sub = max(1, int(np.ceil(config.dt / config.fast_substep - 1e-12)))
+    h = config.dt / n_sub
+    n_fast = config.n_slow_steps() * n_sub
+    sqrt_h = np.sqrt(h)
+    c = model.coefficients
+    # frozen slow coordinate of a full chunk; shorter chunks take a prefix
+    xs = np.full(min(config.chunk_size, config.n_paths), float(x))
+
+    def step(ys, noise):
+        dw = sqrt_h * noise[0]
+        xc = xs[: dw.size]
+        return tuple(model.fast_domain.reflect(y + c.f(xc, y) * h + c.g(xc, y) * dw) for y in ys)
+
+    return _euler_loop(
+        config,
+        n_sub,
+        lambda p0, p1: (_draw_rows(config.seed, p0, p1, EQ_FAST, 0, n_fast),),
+        lambda n: tuple(np.full(n, float(y0)) for y0 in y0s),
+        step,
+        record,
+    )
+
+
+def simulate_frozen(model: ModelSpec, x, config: SimConfig) -> Ensemble:
     """Integrate the frozen fast equation dY = f(x, Y) dt + g(x, Y) dB.
 
     The slow coordinate is pinned at ``x`` and the fast equation runs at
     unit time scale (epsilon plays no role). Stored rows keep the constant
     slow coordinate alongside the fast states for a uniform layout.
     """
-    if not np.all(model.slow_domain.contains(x)):
-        raise ConfigError("frozen slow coordinate outside the slow domain")
-    if not np.all(model.fast_domain.contains(config.y0)):
-        raise ConfigError("y0 outside the fast domain")
-
-    n_slow = config.n_slow_steps()
-    n_sub = max(1, int(np.ceil(config.dt / config.fast_substep - 1e-12)))
-    h = config.dt / n_sub
-    n_fast = n_slow * n_sub
-    sqrt_h = np.sqrt(h)
-    stored = config.stored_indices()
-    store_set = {int(j) * n_sub: k for k, j in enumerate(stored)}
-
-    c = model.coefficients
-    fast_out = np.empty((config.n_paths, stored.size))
-    xval = float(x)
-
-    def worker(p0, p1):
-        eta = _draw_rows(config.seed, p0, p1, EQ_FAST, 0, n_fast)
-        y = np.full(p1 - p0, float(config.y0))
-        xs = np.full(p1 - p0, xval)
-        if 0 in store_set:
-            fast_out[p0:p1, store_set[0]] = y
-        for k in range(n_fast):
-            f = c.f(xs, y)
-            g = c.g(xs, y)
-            y = y + f * h + g * (sqrt_h * eta[:, k])
-            y = model.fast_domain.reflect(y)
-            _check_finite(y, k + 1, p0)
-            idx = store_set.get(k + 1)
-            if idx is not None:
-                fast_out[p0:p1, idx] = y
-        return p0
-
-    _run_chunks(worker, config.n_paths, config.chunk_size, workers)
-    times = stored * config.dt
+    times, (fast,) = _frozen_copies(model, x, config, (config.y0,))
     return Ensemble(
         model=model.name,
         kind="frozen",
         config=config,
         times=times,
-        slow=np.full((config.n_paths, stored.size), xval),
-        fast=fast_out,
+        slow=np.full(fast.shape, float(x)),
+        fast=fast,
         stream_ids=np.arange(config.n_paths),
     )
 
 
-def frozen_pair_gap(model: ModelSpec, x, config: SimConfig, y0_other, workers=1):
+def frozen_pair_gap(model: ModelSpec, x, config: SimConfig, y0_other):
     """Gap |Y - Y'| of two synchronously coupled frozen trajectories.
 
     Both copies start from ``config.y0`` and ``y0_other`` and consume the
@@ -363,49 +370,13 @@ def frozen_pair_gap(model: ModelSpec, x, config: SimConfig, y0_other, workers=1)
     frozen equation. Returns (times, gaps) with gaps of shape
     (n_paths, n_stored) on the grid selected by ``config.store``.
     """
-    if not np.all(model.slow_domain.contains(x)):
-        raise ConfigError("frozen slow coordinate outside the slow domain")
-    for y0 in (config.y0, y0_other):
-        if not np.all(model.fast_domain.contains(y0)):
-            raise ConfigError("initial fast state outside the fast domain")
-
-    n_slow = config.n_slow_steps()
-    n_sub = max(1, int(np.ceil(config.dt / config.fast_substep - 1e-12)))
-    h = config.dt / n_sub
-    n_fast = n_slow * n_sub
-    sqrt_h = np.sqrt(h)
-    stored = config.stored_indices()
-    store_set = {int(j) * n_sub: k for k, j in enumerate(stored)}
-
-    c = model.coefficients
-    gap_out = np.empty((config.n_paths, stored.size))
-    xval = float(x)
-
-    def worker(p0, p1):
-        eta = _draw_rows(config.seed, p0, p1, EQ_FAST, 0, n_fast)
-        ya = np.full(p1 - p0, float(config.y0))
-        yb = np.full(p1 - p0, float(y0_other))
-        xs = np.full(p1 - p0, xval)
-        if 0 in store_set:
-            gap_out[p0:p1, store_set[0]] = np.abs(ya - yb)
-        for k in range(n_fast):
-            dw = sqrt_h * eta[:, k]
-            ya = ya + c.f(xs, ya) * h + c.g(xs, ya) * dw
-            yb = yb + c.f(xs, yb) * h + c.g(xs, yb) * dw
-            ya = model.fast_domain.reflect(ya)
-            yb = model.fast_domain.reflect(yb)
-            _check_finite(ya, k + 1, p0)
-            _check_finite(yb, k + 1, p0)
-            idx = store_set.get(k + 1)
-            if idx is not None:
-                gap_out[p0:p1, idx] = np.abs(ya - yb)
-        return p0
-
-    _run_chunks(worker, config.n_paths, config.chunk_size, workers)
-    return stored * config.dt, gap_out
+    times, (gap,) = _frozen_copies(
+        model, x, config, (config.y0, y0_other), lambda ys: (np.abs(ys[0] - ys[1]),)
+    )
+    return times, gap
 
 
-def simulate_averaged(avg, config: SimConfig, paired=False, variant=0, workers=1) -> Ensemble:
+def simulate_averaged(avg, config: SimConfig, paired=False, variant=0) -> Ensemble:
     """Integrate the averaged slow equation dXbar = bbar dt + sigmabar dW.
 
     Parameters
@@ -423,8 +394,6 @@ def simulate_averaged(avg, config: SimConfig, paired=False, variant=0, workers=1
     if paired and variant != 0:
         raise ConfigError("paired runs replay variant 0 of the slow streams")
     n_slow = config.n_slow_steps()
-    stored = config.stored_indices()
-    store_set = {int(j): k for k, j in enumerate(stored)}
     dt = config.dt
     domain = getattr(avg, "slow_domain", None)
 
@@ -435,34 +404,24 @@ def simulate_averaged(avg, config: SimConfig, paired=False, variant=0, workers=1
         n_sub = 1
         sqrt_h = np.sqrt(dt)
 
-    slow_out = np.empty((config.n_paths, stored.size))
-
-    def worker(p0, p1):
+    def draw(p0, p1):
         if paired:
             raw = _draw_rows(config.seed, p0, p1, EQ_SLOW, 0, n_slow * n_sub)
-            dw = sqrt_h * raw.reshape(p1 - p0, n_slow, n_sub).sum(axis=2)
-        else:
-            dw = sqrt_h * _draw_rows(config.seed, p0, p1, EQ_AVG, variant, n_slow)
-        x = np.full(p1 - p0, float(config.x0))
-        if 0 in store_set:
-            slow_out[p0:p1, store_set[0]] = x
-        for j in range(n_slow):
-            x = x + avg.drift(x) * dt + avg.sigma(x) * dw[:, j]
-            if domain is not None:
-                x = domain.reflect(x)
-            _check_finite(x, j + 1, p0)
-            idx = store_set.get(j + 1)
-            if idx is not None:
-                slow_out[p0:p1, idx] = x
-        return p0
+            return (sqrt_h * raw.reshape(p1 - p0, n_slow, n_sub).sum(axis=2),)
+        return (sqrt_h * _draw_rows(config.seed, p0, p1, EQ_AVG, variant, n_slow),)
 
-    _run_chunks(worker, config.n_paths, config.chunk_size, workers)
+    def step(state, noise):
+        (x,) = state
+        x = x + avg.drift(x) * dt + avg.sigma(x) * noise[0]
+        return (x if domain is None else domain.reflect(x),)
+
+    times, (slow,) = _euler_loop(config, 1, draw, lambda n: (np.full(n, float(config.x0)),), step)
     return Ensemble(
         model=getattr(avg, "source", "averaged"),
         kind="averaged",
         config=config,
-        times=stored * config.dt,
-        slow=slow_out,
+        times=times,
+        slow=slow,
         fast=None,
         stream_ids=np.arange(config.n_paths),
     )

@@ -10,7 +10,6 @@ from slowfast.experiments import (
     _parse_pairs,
     _parse_x_grid,
     _validate_epsilons,
-    block_scale_diagnostic,
     cli_main,
     rerun_from_manifest,
     run_averaging_convergence,
@@ -106,16 +105,6 @@ def test_l2_failure_rejects_inf():
         run_l2_failure(_tiny_config(), [np.inf, 0.1])
 
 
-def test_block_scale_diagnostic(example21):
-    out = block_scale_diagnostic(example21, 0.05, _tiny_config(n_paths=32))
-    assert out["epsilon"] == 0.05
-    assert out["delta"] == pytest.approx(0.05 * np.log(np.log(20.0)))
-    assert out["n_steps"] >= 1
-    assert np.isfinite(out["mean_terminal_gap"]) and out["mean_terminal_gap"] >= 0.0
-    with pytest.raises(ConfigError, match="epsilon"):
-        block_scale_diagnostic(example21, 0.5, _tiny_config())
-
-
 # ---------------------------------------------------------------------------
 # command line
 
@@ -151,6 +140,16 @@ def test_cli_bad_grid_exits_3(capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
 
 
+def test_cli_averaged_example21_fine_grid(capsys):
+    # a_bar = 2/x + 2(1 - x) reaches 8194 at the first node past the wall
+    assert cli_main(["averaged", "--model", "example21", "--x-grid", "0:1:0.000244140625"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    x, b_bar = np.array(payload["x_grid"]), np.array(payload["b_bar"])
+    assert x.size == 4097
+    np.testing.assert_allclose(b_bar[1:], 2.0 - x[1:], rtol=0.0, atol=1e-12)
+    assert b_bar[0] == 1.0  # the jump at the wall
+
+
 def test_cli_config_file_unknown_field(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"bogus": 1}))
@@ -159,6 +158,20 @@ def test_cli_config_file_unknown_field(tmp_path, capsys):
     )
     assert code == 3
     assert "bogus" in json.loads(capsys.readouterr().err)["message"]
+
+
+def test_cli_decay_coupling_config_holds_only_n_paths(tmp_path, capsys):
+    argv = ["decay", "--model", "ou-coupled", "--mode", "coupling", "--x", "0.0",
+            "--y0", "1.0", "--y-other", "0.0", "--times", "0.5,1.0"]
+    cfg = tmp_path / "cfg.json"
+    for bad, word in (({"n_paths": 8, "seed": 3}, "seed"), ([8], "object")):
+        cfg.write_text(json.dumps(bad))
+        assert cli_main([*argv, "--config", str(cfg)]) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError" and word in err["message"]
+    cfg.write_text(json.dumps({"n_paths": 8}))
+    assert cli_main([*argv, "--config", str(cfg)]) == 0
+    capsys.readouterr()
 
 
 def test_cli_artifact_and_manifest(tmp_path):

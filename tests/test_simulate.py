@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -65,15 +67,12 @@ def test_averaged_integrator_is_brownian_for_flat_coefficients():
     assert np.var(xt) == pytest.approx(1.0, rel=0.08)
 
 
-def test_worker_count_and_chunking_do_not_change_results(ou):
+def test_chunking_does_not_change_results(ou):
     cfg = SimConfig(
         epsilon=0.1, dt=0.01, horizon=0.3, n_paths=37, seed=9, x0=0.5, y0=1.0, chunk_size=8
     )
-    base = simulate_coupled(ou, cfg, workers=1)
-    alt = simulate_coupled(ou, cfg, workers=3)
-    np.testing.assert_array_equal(base.slow, alt.slow)
-    np.testing.assert_array_equal(base.fast, alt.fast)
-    rechunk = simulate_coupled(ou, cfg.__class__(**{**cfg.__dict__, "chunk_size": 5}), workers=2)
+    base = simulate_coupled(ou, cfg)
+    rechunk = simulate_coupled(ou, cfg.__class__(**{**cfg.__dict__, "chunk_size": 5}))
     np.testing.assert_array_equal(base.slow, rechunk.slow)
 
 
@@ -153,11 +152,44 @@ def test_terminal_storage_is_single_column(ou, small_config):
     np.testing.assert_allclose(ens.times, [small_config.horizon])
 
 
+def cubic_fast_model():
+    # the frozen fast drift y^3 explodes in finite time, first on the paths
+    # whose noise pushes y away from zero
+    base = cubic_blowup_model()
+    cubic = replace(base.coefficients, f=lambda x, y: np.asarray(y, float) ** 3)
+    return replace(base, name="cubic-fast", coefficients=cubic)
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered")
-def test_blowup_raises_with_step_context():
-    cfg = SimConfig(epsilon=0.5, dt=0.05, horizon=5.0, n_paths=2, seed=0, x0=5.0, y0=0.0)
-    with pytest.raises(BlowUpError, match="non-finite"):
-        simulate_coupled(cubic_blowup_model(), cfg)
+@pytest.mark.parametrize(
+    "run, path_index, step",
+    [
+        (
+            lambda: simulate_coupled(
+                cubic_blowup_model(),
+                SimConfig(epsilon=0.5, dt=0.05, horizon=5.0, n_paths=2, seed=0, x0=5.0, y0=0.0),
+            ),
+            0,
+            13,
+        ),
+        # the path that blows up lies in the second chunk: its index includes the offset
+        (
+            lambda: simulate_frozen(
+                cubic_fast_model(),
+                0.0,
+                SimConfig(epsilon=1.0, dt=0.05, horizon=1.0, n_paths=37, seed=1, y0=0.0,
+                          fast_substep=0.05, chunk_size=8),
+            ),
+            14,
+            13,
+        ),
+    ],
+    ids=["coupled", "frozen"],
+)
+def test_blowup_raises_with_step_context(run, path_index, step):
+    with pytest.raises(BlowUpError, match="non-finite") as info:
+        run()
+    assert (info.value.path_index, info.value.step) == (path_index, step)
 
 
 def test_npz_round_trip(tmp_path, ou, small_config):
