@@ -18,7 +18,7 @@ that is smaller, a power law with the reference exponent otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -61,9 +61,8 @@ def _check_integrand_tail(grid, integrand, domain):
             )
 
 
-def _expectation(model, x, factor):
-    """int factor(y) pi^x(dy) by Simpson quadrature on the stationary grid."""
-    rho = stationary_density(model, x)
+def _expectation(model, rho, factor):
+    """int factor(y) rho(dy) by Simpson quadrature on the density's grid."""
     values = np.asarray(factor(rho.grid), dtype=float)
     if values.shape != rho.grid.shape:
         raise ConfigError("integrand factor must be vectorized over the grid")
@@ -71,18 +70,27 @@ def _expectation(model, x, factor):
     return simpson_ratio(values * rho.values, rho.values, rho.grid)
 
 
-def averaged_drift(model: ModelSpec, x: float) -> float:
-    """Mean of the slow drift b(x, .) under the frozen invariant density."""
-    return _expectation(model, x, lambda y: model.coefficients.b(x, y))
+def _drift_mean(model, x, rho):
+    return _expectation(model, rho, lambda y: model.coefficients.b(x, y))
 
 
-def averaged_diffusion(model: ModelSpec, x: float):
-    """(abar, sigmabar): mean of sigma(x, .)^2 and its square root."""
-    abar = _expectation(model, x, lambda y: model.coefficients.sigma(x, y) ** 2)
+def _squared_dispersion_mean(model, x, rho):
+    abar = _expectation(model, rho, lambda y: model.coefficients.sigma(x, y) ** 2)
     if not abar > 0.0:
         raise DegenerateDiffusionError(
             f"averaged squared dispersion {abar!r} at x={x!r} is not positive"
         )
+    return abar
+
+
+def averaged_drift(model: ModelSpec, x: float) -> float:
+    """Mean of the slow drift b(x, .) under the frozen invariant density."""
+    return _drift_mean(model, x, stationary_density(model, x))
+
+
+def averaged_diffusion(model: ModelSpec, x: float):
+    """(abar, sigmabar): mean of sigma(x, .)^2 and its square root."""
+    abar = _squared_dispersion_mean(model, x, stationary_density(model, x))
     return abar, float(np.sqrt(abar))
 
 
@@ -90,7 +98,8 @@ def averaged_diffusion(model: ModelSpec, x: float):
 class AveragedModel:
     """Tabulated averaged coefficients with piecewise-linear interpolation.
 
-    Linear interpolation is deliberate: the averaged coefficients are in
+    ``sigma_bar`` is derived as the square root of ``a_bar``. Linear
+    interpolation is deliberate: the averaged coefficients are in
     general only Holder continuous between nodes, so a smoother
     interpolant would claim regularity the functions need not have.
     """
@@ -99,7 +108,7 @@ class AveragedModel:
     x_grid: np.ndarray
     b_bar: np.ndarray
     a_bar: np.ndarray
-    sigma_bar: np.ndarray
+    sigma_bar: np.ndarray = field(init=False)
     slow_domain: StateDomain
     method: str
 
@@ -108,16 +117,14 @@ class AveragedModel:
         if grid.ndim != 1 or grid.size < 2 or not np.all(np.diff(grid) > 0):
             raise ConfigError("x_grid must be increasing with at least two nodes")
         fields = {}
-        for name in ("b_bar", "a_bar", "sigma_bar"):
+        for name in ("b_bar", "a_bar"):
             v = np.asarray(getattr(self, name), dtype=float)
             if v.shape != grid.shape or not np.all(np.isfinite(v)):
                 raise ConfigError(f"{name} must be finite with one value per node")
             fields[name] = v
         if not np.all(fields["a_bar"] > 0.0):
             raise DegenerateDiffusionError("averaged squared dispersion must stay positive")
-        # relative, since a_bar can reach thousands (2/x near example21's wall)
-        if np.any(np.abs(fields["sigma_bar"] ** 2 - fields["a_bar"]) > 1e-12 * fields["a_bar"]):
-            raise ConfigError("sigma_bar must be the square root of a_bar")
+        fields["sigma_bar"] = np.sqrt(fields["a_bar"])
         for name, v in (("x_grid", grid), *fields.items()):
             v.setflags(write=False)
             object.__setattr__(self, name, v)
@@ -146,8 +153,9 @@ def build_averaged_model(model: ModelSpec, x_grid) -> AveragedModel:
     """Tabulate bbar, abar, sigmabar on a slow-variable grid.
 
     Closed forms from the model's analytic record are used where present;
-    the remaining coefficients fall back to quadrature node by node. A
-    node failure aborts the build and names the offending node.
+    the remaining coefficients fall back to quadrature node by node, from
+    one frozen invariant density per node. A node failure aborts the build
+    and names the offending node.
     """
     grid = np.asarray(x_grid, dtype=float)
     if grid.ndim != 1 or grid.size < 2 or not np.all(np.diff(grid) > 0):
@@ -159,10 +167,18 @@ def build_averaged_model(model: ModelSpec, x_grid) -> AveragedModel:
     drift_fn = getattr(analytic, "averaged_drift", None)
     diff_fn = getattr(analytic, "averaged_diffusion", None)
 
+    if drift_fn is not None and diff_fn is not None:
+        method = "analytic"
+    elif drift_fn is None and diff_fn is None:
+        method = "quadrature"
+    else:
+        method = "mixed"
+
     def node(x):
         try:
-            b = float(drift_fn(x)) if drift_fn is not None else averaged_drift(model, x)
-            a = float(diff_fn(x)) if diff_fn is not None else averaged_diffusion(model, x)[0]
+            rho = None if method == "analytic" else stationary_density(model, x)
+            b = float(drift_fn(x)) if drift_fn is not None else _drift_mean(model, x, rho)
+            a = float(diff_fn(x)) if diff_fn is not None else _squared_dispersion_mean(model, x, rho)
         except SlowfastError as err:
             raise type(err)(f"averaged coefficients failed at node x={x!r}: {err}") from err
         return b, a
@@ -170,20 +186,11 @@ def build_averaged_model(model: ModelSpec, x_grid) -> AveragedModel:
     rows = [node(x) for x in grid]
     b_bar = np.array([r[0] for r in rows])
     a_bar = np.array([r[1] for r in rows])
-    if not np.all(a_bar > 0.0):
-        raise DegenerateDiffusionError("averaged squared dispersion must stay positive")
-    if drift_fn is not None and diff_fn is not None:
-        method = "analytic"
-    elif drift_fn is None and diff_fn is None:
-        method = "quadrature"
-    else:
-        method = "mixed"
     return AveragedModel(
         source=model.name,
         x_grid=grid,
         b_bar=b_bar,
         a_bar=a_bar,
-        sigma_bar=np.sqrt(a_bar),
         slow_domain=model.slow_domain,
         method=method,
     )

@@ -30,7 +30,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .averaging import _expectation, averaged_diffusion, build_averaged_model, discontinuity_probe, holder_fit
+from .averaging import _expectation, _squared_dispersion_mean, build_averaged_model, discontinuity_probe, holder_fit
 from .ergodicity import classify, tv_decay_curve, w1_decay_coupling
 from .errors import ConfigError, SlowfastError
 from .metrics import measure_distance, w1_empirical
@@ -240,13 +240,13 @@ def run_l2_failure(config: SimConfig, epsilons, workers=1) -> L2Report:
         1025,
     )
     avg = build_averaged_model(model, x_grid)
-    _, sigma_bar = averaged_diffusion(model, config.x0)
+    rho = stationary_density(model, config.x0)
+    sigma_bar = np.sqrt(_squared_dispersion_mean(model, config.x0, rho))
     predicted = config.horizon * _expectation(
-        model, config.x0, lambda y: (model.coefficients.sigma(config.x0, y) - sigma_bar) ** 2
+        model, rho, lambda y: (model.coefficients.sigma(config.x0, y) - sigma_bar) ** 2
     )
 
     gap, w1s = [], []
-    cfg = None
     for e in eps:
         cfg = _config_for_epsilon(config, e)
         coupled = simulate_coupled(model, cfg)
@@ -255,9 +255,9 @@ def run_l2_failure(config: SimConfig, epsilons, workers=1) -> L2Report:
         gap.append(float(np.mean((xc - xp) ** 2)))
         independent = simulate_averaged(avg, cfg, variant=1)
         w1s.append(_w1_samples(xc, independent.terminal_slow()))
-    floor_a = simulate_averaged(avg, cfg, variant=1)
-    floor_b = simulate_averaged(avg, cfg, variant=2)
-    noise_floor = _w1_samples(floor_a.terminal_slow(), floor_b.terminal_slow())
+    # the last rung's independent run (variant 1) is one half of the noise floor
+    floor = simulate_averaged(avg, cfg, variant=2)
+    noise_floor = _w1_samples(independent.terminal_slow(), floor.terminal_slow())
     rel = [abs(g - predicted) / predicted for g in gap] if predicted > 0 else [np.inf] * len(gap)
     return L2Report(
         epsilons=tuple(eps),
@@ -275,6 +275,7 @@ def run_l2_failure(config: SimConfig, epsilons, workers=1) -> L2Report:
 # command line
 
 _CONFIG_DEFAULTS = dict(dt=0.01, horizon=1.0, n_paths=10_000)
+_SIM_CONFIG_HELP = "JSON file with SimConfig fields (flat key-value)"
 
 
 def _to_native(obj):
@@ -351,8 +352,11 @@ def _parse_pairs(text):
 
 def _read_config(path, known):
     """The --config file: a flat JSON object with keys among ``known``."""
-    with open(path) as fh:
-        overrides = json.load(fh)
+    try:
+        with open(path) as fh:
+            overrides = json.load(fh)
+    except (OSError, ValueError) as err:
+        raise ConfigError(f"cannot read --config {path!r}: {err}") from None
     if not isinstance(overrides, dict):
         raise ConfigError("--config must hold a flat JSON object")
     unknown = set(overrides) - set(known)
@@ -515,6 +519,8 @@ def _cmd_decay(args):
     model = get_builtin(args.model)
     times = np.array(_parse_floats(args.times, "--times"))
     if args.mode == "pde":
+        if args.config is not None:
+            raise ConfigError("--config holds n_paths for --mode coupling; --mode pde reads none")
         curve = tv_decay_curve(model, args.x, args.y0, times)
     else:
         if args.y_other is None:
@@ -559,17 +565,17 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, model_required=True):
+    def common(sp, model_required=True, config_help=None):
         sp.add_argument("--model", required=model_required, default=None,
                         help="built-in model name (see list-models)")
         sp.add_argument("--seed", type=int, default=None, help="root random seed (default 0)")
         sp.add_argument("--out", default=None,
                         help="artifact path; a .manifest.json is written beside it")
         sp.add_argument("--format", choices=("json", "csv"), default="json")
-        sp.add_argument("--config", default=None,
-                        help="JSON file with SimConfig fields (flat key-value)")
         sp.add_argument("--workers", type=int, default=1,
                         help="recorded in the manifest; has no effect")
+        if config_help is not None:
+            sp.add_argument("--config", default=None, help=config_help)
 
     sp = sub.add_parser("list-models", help="names and shapes of the built-in models")
     common(sp, model_required=False)
@@ -606,18 +612,18 @@ def _build_parser():
                     help="decreasing probe offsets")
 
     sp = sub.add_parser("converge", help="terminal-law W1 down an epsilon ladder")
-    common(sp)
+    common(sp, config_help=_SIM_CONFIG_HELP)
     sp.add_argument("--epsilons", default="0.1,0.03,0.01",
                     help="comma-separated, decreasing ('inf' allowed first)")
     sp.add_argument("--functionals", action="store_true",
                     help="also report bounded-functional gaps")
 
     sp = sub.add_parser("l2fail", help="pathwise mean-square gap on shared noise")
-    common(sp, model_required=False)
+    common(sp, model_required=False, config_help=_SIM_CONFIG_HELP)
     sp.add_argument("--epsilons", default="0.1,0.03,0.01")
 
     sp = sub.add_parser("decay", help="distance-to-stationarity decay of the fast process")
-    common(sp)
+    common(sp, config_help='JSON file {"n_paths": N} for --mode coupling')
     sp.add_argument("--x", type=float, required=True)
     sp.add_argument("--y0", type=float, required=True)
     sp.add_argument("--times", required=True, help="comma-separated increasing times")

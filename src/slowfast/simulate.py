@@ -125,16 +125,6 @@ class SimConfig:
 
 
 @dataclass(frozen=True)
-class PathSample:
-    """One stored trajectory on the slow grid."""
-
-    times: np.ndarray
-    slow: np.ndarray
-    fast: np.ndarray | None
-    stream_id: int
-
-
-@dataclass(frozen=True)
 class Ensemble:
     """Stored states of many paths on the slow grid.
 
@@ -155,21 +145,8 @@ class Ensemble:
     def n_paths(self):
         return self.slow.shape[0]
 
-    def path(self, i):
-        return PathSample(
-            times=self.times,
-            slow=self.slow[i],
-            fast=None if self.fast is None else self.fast[i],
-            stream_id=int(self.stream_ids[i]),
-        )
-
     def terminal_slow(self):
         return self.slow[:, -1]
-
-    def terminal_fast(self):
-        if self.fast is None:
-            raise ConfigError("averaged ensembles store no fast states")
-        return self.fast[:, -1]
 
     def to_csv(self, path):
         """Write one row per stored state: path id, time, slow, fast."""
@@ -254,6 +231,11 @@ def _euler_loop(config, n_sub, draw, start, step, record=lambda state: state):
     return stored * config.dt, out
 
 
+def _coupled_substeps(config):
+    """Fast steps per dt of a coupled run, and of the averaged runs paired with it."""
+    return max(1, int(np.ceil(config.dt / (config.epsilon * config.fast_substep) - 1e-12)))
+
+
 def simulate_coupled(model: ModelSpec, config: SimConfig) -> Ensemble:
     """Integrate the coupled pair for every path in the ensemble.
 
@@ -272,7 +254,7 @@ def simulate_coupled(model: ModelSpec, config: SimConfig) -> Ensemble:
     if not np.all(model.fast_domain.contains(config.y0)):
         raise ConfigError("y0 outside the fast domain")
 
-    n_sub = max(1, int(np.ceil(config.dt / (config.epsilon * config.fast_substep) - 1e-12)))
+    n_sub = _coupled_substeps(config)
     h = config.dt / n_sub
     n_fast = config.n_slow_steps() * n_sub
     sqrt_h = np.sqrt(h)
@@ -398,7 +380,7 @@ def simulate_averaged(avg, config: SimConfig, paired=False, variant=0) -> Ensemb
     domain = getattr(avg, "slow_domain", None)
 
     if paired:
-        n_sub = max(1, int(np.ceil(dt / (config.epsilon * config.fast_substep) - 1e-12)))
+        n_sub = _coupled_substeps(config)
         sqrt_h = np.sqrt(dt / n_sub)
     else:
         n_sub = 1

@@ -156,23 +156,12 @@ def test_build_failure_names_the_node():
 
 def test_averaged_model_validation():
     grid = np.linspace(0.0, 1.0, 3)
-    with pytest.raises(ConfigError, match="square root"):
-        AveragedModel(
-            source="m",
-            x_grid=grid,
-            b_bar=np.zeros(3),
-            a_bar=np.ones(3),
-            sigma_bar=2.0 * np.ones(3),
-            slow_domain=StateDomain(FULL_LINE),
-            method="analytic",
-        )
     with pytest.raises(ConfigError, match="increasing"):
         AveragedModel(
             source="m",
             x_grid=grid[::-1],
             b_bar=np.zeros(3),
             a_bar=np.ones(3),
-            sigma_bar=np.ones(3),
             slow_domain=StateDomain(FULL_LINE),
             method="analytic",
         )

@@ -174,6 +174,34 @@ def test_cli_decay_coupling_config_holds_only_n_paths(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("content", [None, '{"n_paths": 8'])
+def test_cli_config_file_unreadable_exits_3(tmp_path, capsys, content):
+    cfg = tmp_path / "cfg.json"
+    if content is not None:
+        cfg.write_text(content)
+    code = cli_main(
+        ["converge", "--model", "ou-coupled", "--epsilons", "0.5", "--config", str(cfg)]
+    )
+    assert code == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError" and str(cfg) in err["message"]
+
+
+def test_cli_config_only_where_it_is_read(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n_paths": 8}))
+    assert cli_main(["classify", "--model", "ou-coupled", "--x", "0.5", "--config", str(cfg)]) == 2
+    assert "--config" in capsys.readouterr().err
+
+
+def test_cli_decay_pde_rejects_config(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n_paths": 8}))
+    argv = ["decay", "--model", "ou-coupled", "--x", "0.0", "--y0", "1.0", "--times", "0.5,1.0"]
+    assert cli_main([*argv, "--config", str(cfg)]) == 3
+    assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+
+
 def test_cli_artifact_and_manifest(tmp_path):
     out = tmp_path / "rho.csv"
     code = cli_main(

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import linprog
 from scipy.stats import wasserstein_distance
 
 from slowfast import (
@@ -114,6 +115,18 @@ triples = st.tuples(
 )
 
 
+def primal_wbl(p, q):
+    """The transport program itself: cheapest coupling for cost min(|u - v|, 2)."""
+    (u, nu), (v, nv) = (np.unique(m.samples, return_counts=True) for m in (p, q))
+    cost = np.minimum(np.abs(u[:, None] - v[None, :]), 2.0).ravel()
+    marginals = np.vstack([np.kron(np.eye(u.size), np.ones(v.size)),
+                           np.kron(np.ones(u.size), np.eye(v.size))])
+    res = linprog(cost, A_eq=marginals, b_eq=np.concatenate([nu / p.n_samples, nv / q.n_samples]),
+                  bounds=(0.0, None), method="highs")
+    assert res.success
+    return res.fun
+
+
 @settings(max_examples=60, deadline=None)
 @given(triples)
 def test_metric_axioms_on_atomic_triples(tri):
@@ -123,3 +136,4 @@ def test_metric_axioms_on_atomic_triples(tri):
         assert dist(a, b) == dist(b, a)
         assert dist(a, c) <= dist(a, b) + dist(b, c) + 1e-9
     assert wbl_distance(a, b) <= min(w1_empirical(a, b), tv_distance(a, b)) + 1e-9
+    assert wbl_distance(a, c) == pytest.approx(primal_wbl(a, c), rel=0.0, abs=1e-12)

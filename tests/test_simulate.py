@@ -27,7 +27,6 @@ def flat_brownian(span=200.0):
         x_grid=grid,
         b_bar=np.zeros(2),
         a_bar=np.ones(2),
-        sigma_bar=np.ones(2),
         slow_domain=StateDomain(FULL_LINE),
         method="analytic",
     )
