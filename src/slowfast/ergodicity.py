@@ -18,9 +18,16 @@ These thresholds are reported, never silent.
 The ladder works with potential differences across single panels rather
 than with the potential itself: quantities like s(z) * M([z, inf)) are
 ratios of astronomically large and small exponentials whose logs cancel
-to garbage at large radii, but they obey local recurrences (exponential-
-fitted panels, the same phi-function that underlies the flux scheme
-below) in which every term stays moderate.
+to garbage at large radii (a cumulative log-sum-exp over the raw
+potential loses them below the 1e-10 increment floor), but they obey one
+local recurrence in which every term stays moderate:
+
+    v[0] = -inf,  v[i+1] = logaddexp(v[i] + a[i], b[i]),
+
+with a[i] = +-delta[i] the potential drop across panel i and b[i] the log
+of that panel's exponential-fitted mass (the same phi-function that
+underlies the flux scheme below). s(z) M([0, z]), e^{Phi(z)} int_0^z s
+and, run from the far end, s(z) M([z, end]) are its three instances.
 
 The forward solver discretizes the Fokker-Planck operator in flux form
 with exponentially fitted (Scharfetter-Gummel) edge fluxes built from
@@ -59,6 +66,8 @@ _LOG_SLOW = np.log(1e-8)
 FINITE = "finite"
 DIVERGENT = "divergent"
 INCONCLUSIVE = "inconclusive"
+
+_CRITERIA = ("speed_total", "scale_recurrence", "exponential_sup", "strong_tail")
 
 
 @dataclass(frozen=True)
@@ -176,118 +185,84 @@ def _judge(ladder):
     return INCONCLUSIVE, float(last)
 
 
-class _DirectionLadder:
-    """Doubling ladder of criterion integrals in one escape direction."""
+def _log_recurrence(a, b):
+    """v with v[0] = -inf and v[i+1] = logaddexp(v[i] + a[i], b[i]).
 
-    def __init__(self, model, x, sign):
-        self.sign = float(sign)
-        self.anchor = model.fast_domain.anchor()
-        ratio, log_shape = _log_shape_factory(model, x)
-        self._ratio = ratio
-        self._log_shape = log_shape
-        self.r = np.zeros(1)
-        self.delta = np.zeros(0)  # per-panel potential increments along r
-        self.loggsq = np.array([self._loggsq_at(np.zeros(1))[0]])
-        self.ladders = {"speed_total": [], "scale_recurrence": [], "exponential_sup": [], "strong_tail": []}
-        self.verdicts = {}
-        self.values = {}
-        self.m_settled_at = None
-        self.k = 0
+    That is log V for V[i+1] = e^{a[i]} V[i] + e^{b[i]}, the one recurrence
+    of the ladder (see the module docstring).
+    """
+    v = [-np.inf]
+    for ai, bi in zip(a.tolist(), b.tolist()):
+        v.append(np.logaddexp(v[-1] + ai, bi))
+    return np.array(v)
 
-    def _y(self, r):
-        return self.anchor + self.sign * r
 
-    def _loggsq_at(self, r):
+def _direction_verdicts(model, x, sign):
+    """Doubling ladder of the criterion integrals in one escape direction.
+
+    Returns {criterion: (verdict, log value)} and the last probed radius.
+    """
+    anchor = model.fast_domain.anchor()
+    ratio, log_shape = _log_shape_factory(model, x)
+
+    def loggsq(r):
         # log_shape = phi - log g^2, so feeding phi = 0 isolates log g^2
-        return -self._log_shape(self._y(r), np.zeros(np.shape(r)))
+        return -log_shape(anchor + sign * r, np.zeros(np.shape(r)))
 
-    def extend(self):
-        lo = 0.0 if self.k == 0 else 2.0 ** (self.k - 1)
-        hi = 2.0**self.k
-        seg = np.linspace(lo, hi, _SEGMENT_PANELS + 1)
-        new_delta = self.sign * gauss_panels(lambda r: self._ratio(self._y(r)), seg)
-        self.r = np.concatenate([self.r, seg[1:]])
-        self.delta = np.concatenate([self.delta, new_delta])
-        self.loggsq = np.concatenate([self.loggsq, self._loggsq_at(seg[1:])])
-        self.k += 1
-        self._record()
+    r = np.zeros(1)
+    delta = np.zeros(0)  # per-panel potential increments along r
+    lgsq = loggsq(r)
+    ladders = {name: [] for name in _CRITERIA}
+    verdicts, values = {}, {}
+    settled_at = None  # doubling at which the speed mass was found finite
+    for k in range(1, MAX_DOUBLINGS + 1):
+        radius = 2.0 ** (k - 1)
+        seg = np.linspace(0.0 if k == 1 else radius / 2.0, radius, _SEGMENT_PANELS + 1)
+        r = np.concatenate([r, seg[1:]])
+        delta = np.concatenate([delta, sign * gauss_panels(lambda s: ratio(anchor + sign * s), seg)])
+        lgsq = np.concatenate([lgsq, loggsq(seg[1:])])
 
-    def _record(self):
-        r, delta, loggsq = self.r, self.delta, self.loggsq
-        h = np.diff(r)
-        logh = np.log(h)
-        gsq_edge = 0.5 * (loggsq[:-1] + loggsq[1:])
+        logh = np.log(np.diff(r))
+        gsq_edge = 0.5 * (lgsq[:-1] + lgsq[1:])
+        log_phi_up = _log_phi1(delta)
         phi = np.concatenate([[0.0], np.cumsum(delta)])
-
         # total speed mass: sum of exponential-fitted panel masses
-        log_m_panels = phi[:-1] + logh + _log_phi1(delta) - gsq_edge
-        self._put("speed_total", logsumexp(log_m_panels))
+        ladders["speed_total"].append(logsumexp(phi[:-1] + logh + log_phi_up - gsq_edge))
+        mcum = _log_recurrence(-delta, logh + _log_phi1(-delta) - gsq_edge)  # s(z) M([0, z])
+        scum = _log_recurrence(delta, logh + log_phi_up)  # e^{phi(z)} int_0^z s
+        # s(z) M([z, end]), the same recurrence run from the far end
+        mtail = _log_recurrence(delta[::-1], (logh + log_phi_up - gsq_edge)[::-1])[::-1]
+        ladders["scale_recurrence"].append(log_trapezoid(mcum, r))
+        ladders["exponential_sup"].append(float(np.max(mtail + scum)))
+        ladders["strong_tail"].append(log_trapezoid(mtail, r))
 
-        # forward recurrences relative to the running node: every term is a
-        # potential difference across one panel, never the raw potential
-        n = r.size
-        mcum = np.full(n, -np.inf)  # s(z) * M([0, z])
-        scum = np.full(n, -np.inf)  # e^{phi(z)} * int_0^z s
-        for i in range(n - 1):
-            d = delta[i]
-            mcum[i + 1] = np.logaddexp(mcum[i] - d, logh[i] + _log_phi1(-d) - gsq_edge[i])
-            scum[i + 1] = np.logaddexp(scum[i] + d, logh[i] + _log_phi1(d))
-        mtail = np.full(n, -np.inf)  # s(z) * M([z, end])
-        for i in range(n - 2, -1, -1):
-            d = delta[i]
-            mtail[i] = np.logaddexp(logh[i] + _log_phi1(d) - gsq_edge[i], d + mtail[i + 1])
-
-        self._put("scale_recurrence", log_trapezoid(mcum, r))
-        self._put("exponential_sup", float(np.max(mtail + scum)))
-        self._put("strong_tail", log_trapezoid(mtail, r))
-
-        for name in ("speed_total", "scale_recurrence"):
-            if name not in self.verdicts:
-                verdict, value = _judge(self.ladders[name])
-                if verdict != INCONCLUSIVE:
-                    self.verdicts[name] = verdict
-                    self.values[name] = value
-                    if name == "speed_total":
-                        self.m_settled_at = self.k
         # tail-dependent criteria wait two extra doublings after the speed
         # mass settles, so M([z, end]) is a trusted stand-in for M([z, inf))
-        tails_ready = (
-            self.m_settled_at is not None
-            and self.verdicts.get("speed_total") == FINITE
-            and self.k >= self.m_settled_at + 2
-        )
-        for name in ("exponential_sup", "strong_tail"):
-            if name not in self.verdicts:
-                verdict, value = _judge(self.ladders[name])
-                if verdict == DIVERGENT or (verdict == FINITE and tails_ready):
-                    self.verdicts[name] = verdict
-                    self.values[name] = value
-
-    def _put(self, name, value):
-        self.ladders[name].append(value)
-
-    def hopeless(self):
+        tails_ready = settled_at is not None and k >= settled_at + 2
+        for name in _CRITERIA:
+            if name in verdicts:
+                continue
+            verdict, value = _judge(ladders[name])
+            tail = name in ("exponential_sup", "strong_tail")
+            if verdict == DIVERGENT or (verdict == FINITE and (tails_ready or not tail)):
+                verdicts[name], values[name] = verdict, value
+                if name == "speed_total" and verdict == FINITE:
+                    settled_at = k
         # no point refining tails of a non-recurrent direction
-        return self.verdicts.get("speed_total") == DIVERGENT or (
-            self.verdicts.get("scale_recurrence") == FINITE
-        )
-
-    def done(self):
-        return len(self.verdicts) == 4 or self.hopeless()
-
-    def run(self):
-        while self.k < MAX_DOUBLINGS and not self.done():
-            self.extend()
-        out = {}
-        for name, ladder in self.ladders.items():
-            if name in self.verdicts:
-                out[name] = (self.verdicts[name], self.values[name])
-            else:
-                out[name] = (INCONCLUSIVE, float(ladder[-1]) if ladder else -np.inf)
-        return out, 2.0 ** (self.k - 1) if self.k else 0.0
+        if (
+            len(verdicts) == len(_CRITERIA)
+            or verdicts.get("speed_total") == DIVERGENT
+            or verdicts.get("scale_recurrence") == FINITE
+        ):
+            break
+    out = {
+        name: (verdicts.get(name, INCONCLUSIVE), values.get(name, float(ladders[name][-1])))
+        for name in _CRITERIA
+    }
+    return out, radius
 
 
-def _combine(per_direction, name, finite_is_good_when="all"):
+def _combine(per_direction, name):
     """Three-valued AND across directions.
 
     ``speed_total``, ``exponential_sup``, ``strong_tail``: finite iff finite
@@ -339,7 +314,7 @@ def classify(model: ModelSpec, x, fitted_rates=None) -> ErgodicityReport:
     radii = []
     try:
         for sign in signs:
-            result, radius = _DirectionLadder(model, xval, sign).run()
+            result, radius = _direction_verdicts(model, xval, sign)
             per_direction.append(result)
             radii.append(radius)
     except SlowfastError as exc:
@@ -349,8 +324,7 @@ def classify(model: ModelSpec, x, fitted_rates=None) -> ErgodicityReport:
             integrals=integrals, fitted_rates=fitted_rates,
         )
 
-    combined = {name: _combine(per_direction, name)
-                for name in ("speed_total", "scale_recurrence", "exponential_sup", "strong_tail")}
+    combined = {name: _combine(per_direction, name) for name in _CRITERIA}
 
     def tri(verdict, good):
         if verdict == INCONCLUSIVE:
@@ -565,9 +539,13 @@ def forward_pde_solve(model: ModelSpec, x, y0, t, grid=None) -> Density1D:
     return states[0]
 
 
-def _flat_fit(values):
-    vmax = float(np.max(values)) if len(values) else 0.0
-    return {"amplitude": vmax, "rate": 0.0, "r_squared": 0.0}
+def _decay_fit(times, values, **window):
+    """Exponential fit over the ``window`` of values; flat when no fit exists."""
+    try:
+        amp, rate, r2 = fit_exponential_decay(times, values, **window)
+    except SlowfastError:
+        return {"amplitude": float(np.max(values)), "rate": 0.0, "r_squared": 0.0}
+    return {"amplitude": amp, "rate": max(rate, 0.0), "r_squared": min(max(r2, 0.0), 1.0)}
 
 
 def tv_decay_curve(model: ModelSpec, x, y0, times, grid=None) -> DecayCurve:
@@ -581,11 +559,7 @@ def tv_decay_curve(model: ModelSpec, x, y0, times, grid=None) -> DecayCurve:
     pde_grid, states = _pde_snapshots(model, x, y0, times, grid=grid)
     target = stationary_density(model, x, grid=pde_grid)
     values = np.array([tv_distance(state, target) for state in states])
-    try:
-        amp, rate, r2 = fit_exponential_decay(times, values, value_ceiling=1.0, value_floor=1e-3)
-        fit = {"amplitude": amp, "rate": max(rate, 0.0), "r_squared": min(max(r2, 0.0), 1.0)}
-    except SlowfastError:
-        fit = _flat_fit(values)
+    fit = _decay_fit(times, values, value_ceiling=1.0, value_floor=1e-3)
     return DecayCurve(times=times, values=values, fit=fit)
 
 
@@ -617,9 +591,5 @@ def w1_decay_coupling(model: ModelSpec, x, y, y_other, times, n_paths=256, seed=
     t_grid, gaps = frozen_pair_gap(model, x, cfg, float(y_other))
     mean_gap = gaps.mean(axis=0)
     values = np.interp(times, t_grid, mean_gap)
-    try:
-        amp, rate, r2 = fit_exponential_decay(times, values, value_floor=1e-6)
-        fit = {"amplitude": amp, "rate": max(rate, 0.0), "r_squared": min(max(r2, 0.0), 1.0)}
-    except SlowfastError:
-        fit = _flat_fit(values)
+    fit = _decay_fit(times, values, value_floor=1e-6)
     return DecayCurve(times=times, values=values, fit=fit)

@@ -327,7 +327,10 @@ def _parse_x_grid(text):
     parts = text.split(":")
     if len(parts) != 3:
         raise ConfigError(f"--x-grid expects start:stop:step, got {text!r}")
-    start, stop, step = (float(p) for p in parts)
+    try:
+        start, stop, step = (float(p) for p in parts)
+    except ValueError:
+        raise ConfigError(f"--x-grid expects numbers start:stop:step, got {text!r}") from None
     if step <= 0.0 or stop <= start:
         raise ConfigError("--x-grid needs stop > start and step > 0")
     n = int(round((stop - start) / step))
@@ -344,7 +347,10 @@ def _parse_pairs(text):
         halves = tok.split(",")
         if len(halves) != 2:
             raise ConfigError(f"--pairs expects 'x1,x2;x1,x2;...', got {text!r}")
-        pairs.append((float(halves[0]), float(halves[1])))
+        try:
+            pairs.append((float(halves[0]), float(halves[1])))
+        except ValueError:
+            raise ConfigError(f"--pairs expects numbers 'x1,x2;x1,x2;...', got {text!r}") from None
     if not pairs:
         raise ConfigError("--pairs is empty")
     return pairs
@@ -480,7 +486,7 @@ def _cmd_probe(args):
 
 def _cmd_converge(args):
     model = get_builtin(args.model)
-    eps = [np.inf if tok.strip() == "inf" else float(tok) for tok in args.epsilons.split(",")]
+    eps = _parse_floats(args.epsilons, "--epsilons")
     anchor = next((e for e in eps if np.isfinite(e)), None)
     if anchor is None:
         raise ConfigError("the epsilon ladder needs at least one finite value")

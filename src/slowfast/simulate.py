@@ -329,8 +329,9 @@ def simulate_frozen(model: ModelSpec, x, config: SimConfig) -> Ensemble:
     """Integrate the frozen fast equation dY = f(x, Y) dt + g(x, Y) dB.
 
     The slow coordinate is pinned at ``x`` and the fast equation runs at
-    unit time scale (epsilon plays no role). Stored rows keep the constant
-    slow coordinate alongside the fast states for a uniform layout.
+    unit time scale (epsilon plays no role). For a uniform layout ``slow``
+    holds the constant slow coordinate as a read-only broadcast view of the
+    fast table's shape, so it costs no memory.
     """
     times, (fast,) = _frozen_copies(model, x, config, (config.y0,))
     return Ensemble(
@@ -338,7 +339,7 @@ def simulate_frozen(model: ModelSpec, x, config: SimConfig) -> Ensemble:
         kind="frozen",
         config=config,
         times=times,
-        slow=np.full(fast.shape, float(x)),
+        slow=np.broadcast_to(float(x), fast.shape),
         fast=fast,
         stream_ids=np.arange(config.n_paths),
     )

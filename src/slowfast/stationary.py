@@ -37,6 +37,7 @@ from .errors import (
     DegenerateDiffusionError,
     InfiniteMomentError,
     NotPositiveRecurrentError,
+    SlowfastError,
 )
 from .models import INTERVAL, ModelSpec
 from .numerics import (
@@ -345,7 +346,7 @@ def _estimate_burn_in(model, x, config):
         _, rate, _ = fit_exponential_decay(times[1:], values[1:], value_floor=1e-10)
         if rate > 0.0:
             return min(10.0 / rate, config.horizon / 2.0)
-    except Exception:
+    except SlowfastError:
         pass
     return config.horizon / 2.0
 

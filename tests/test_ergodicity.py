@@ -11,6 +11,7 @@ from slowfast import (
     tv_distance,
     w1_decay_coupling,
 )
+from slowfast.ergodicity import _log_recurrence
 from slowfast.models import FULL_LINE, StateDomain
 
 from conftest import gaussian_pdf
@@ -65,6 +66,17 @@ def test_classify_records_criterion_integrals(example21):
         assert {"verdict", "value", "radius"} <= set(report.integrals[name])
     # the supremum criterion integral saturates at 1/(2 x^2) = 2 here
     assert report.integrals["exponential_sup"]["value"] == pytest.approx(2.0, rel=1e-6)
+
+
+@pytest.mark.parametrize("a", [-0.3, 0.0, 0.3])
+def test_log_recurrence_is_a_geometric_sum(a):
+    # constant a and b: V[n] = e^b (1 + e^a + ... + e^{(n-1) a})
+    n, b = 60, 0.7
+    v = _log_recurrence(np.full(n, a), np.full(n, b))
+    k = np.arange(1, n + 1)
+    expected = b + (np.log(k) if a == 0.0 else np.log(np.expm1(a * k) / np.expm1(a)))
+    assert v[0] == -np.inf
+    np.testing.assert_allclose(v[1:], expected, rtol=1e-13, atol=0.0)
 
 
 def test_heat_kernel():

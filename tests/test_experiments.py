@@ -140,6 +140,20 @@ def test_cli_bad_grid_exits_3(capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["converge", "--model", "ou-coupled", "--epsilons", "0.1,abc"],
+        ["averaged", "--model", "ou-coupled", "--x-grid", "0:1:x"],
+        ["holder", "--model", "ou-coupled", "--metric", "tv", "--pairs", "0.1,abc"],
+    ],
+)
+def test_cli_malformed_number_exits_3(capsys, argv):
+    assert cli_main(argv) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError" and argv[-1] in err["message"]
+
+
 def test_cli_averaged_example21_fine_grid(capsys):
     # a_bar = 2/x + 2(1 - x) reaches 8194 at the first node past the wall
     assert cli_main(["averaged", "--model", "example21", "--x-grid", "0:1:0.000244140625"]) == 0

@@ -191,8 +191,12 @@ def test_blowup_raises_with_step_context(run, path_index, step):
     assert (info.value.path_index, info.value.step) == (path_index, step)
 
 
-def test_npz_round_trip(tmp_path, ou, small_config):
-    ens = simulate_coupled(ou, small_config)
+@pytest.mark.parametrize("kind", ["coupled", "frozen"])
+def test_npz_round_trip(tmp_path, ou, small_config, kind):
+    if kind == "coupled":
+        ens = simulate_coupled(ou, small_config)
+    else:
+        ens = simulate_frozen(ou, 0.5, replace(small_config, store="full"))
     p = tmp_path / "run.npz"
     ens.to_npz(p)
     back = load_npz(p)
@@ -210,3 +214,4 @@ def test_frozen_sim_fixes_the_slow_state(example21):
     assert np.all(ens.fast >= 0.0)
     assert ens.slow.shape == ens.fast.shape
     np.testing.assert_array_equal(ens.slow, np.full_like(ens.slow, 0.25))
+    assert not ens.slow.flags.writeable

@@ -12,6 +12,7 @@ from slowfast import (
     potential,
     stationary_density,
 )
+from slowfast import stationary
 from slowfast.models import FULL_LINE, StateDomain
 from slowfast.stationary import Density1D, EmpiricalMeasure, default_grid
 
@@ -127,6 +128,17 @@ def test_empirical_invariant_matches_analytic_law(ou):
     var = moment(emp, 2) - mean**2
     assert mean == pytest.approx(0.8, abs=0.1)
     assert var == pytest.approx(1.0, abs=0.15)
+
+
+def test_burn_in_probe_propagates_program_errors(ou, monkeypatch):
+    # only a SlowfastError from the probe falls back to half the horizon
+    def broken(*args, **kwargs):
+        raise RuntimeError("probe bug")
+
+    monkeypatch.setattr(stationary, "frozen_pair_gap", broken)
+    cfg = SimConfig(epsilon=1.0, dt=0.02, horizon=1.0, n_paths=4, seed=1, y0=0.0, store="full")
+    with pytest.raises(RuntimeError, match="probe bug"):
+        empirical_invariant(ou, 0.0, cfg)
 
 
 def test_density_csv_round_trip(ou, tmp_path):
