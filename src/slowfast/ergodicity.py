@@ -76,7 +76,8 @@ class ErgodicityReport:
 
     Verdicts are True / False / None, None meaning the numerics could not
     decide within the ladder limits. ``integrals`` records each criterion
-    integral with its verdict and the probed radius.
+    integral with its verdict and the probed radius. ``fitted_rates`` is
+    always None; the key stays because saved artifacts carry it.
     """
 
     x: float
@@ -283,7 +284,7 @@ def _combine(per_direction, name):
     return INCONCLUSIVE
 
 
-def classify(model: ModelSpec, x, fitted_rates=None) -> ErgodicityReport:
+def classify(model: ModelSpec, x) -> ErgodicityReport:
     """Scale/speed-measure ergodicity verdicts for the frozen equation at x.
 
     Never silently guesses: each verdict is backed by a recorded criterion
@@ -305,8 +306,7 @@ def classify(model: ModelSpec, x, fitted_rates=None) -> ErgodicityReport:
             "note": "compact reflecting fast domain: recurrence is automatic and convergence is uniform",
         }
         return ErgodicityReport(
-            x=xval, ergodic=True, exp_ergodic=True, strongly_ergodic=True,
-            integrals=integrals, fitted_rates=fitted_rates,
+            x=xval, ergodic=True, exp_ergodic=True, strongly_ergodic=True, integrals=integrals
         )
 
     signs = [1.0] if dom.kind != FULL_LINE else [1.0, -1.0]
@@ -320,8 +320,7 @@ def classify(model: ModelSpec, x, fitted_rates=None) -> ErgodicityReport:
     except SlowfastError as exc:
         integrals = {"note": f"criterion evaluation failed: {exc}"}
         return ErgodicityReport(
-            x=xval, ergodic=None, exp_ergodic=None, strongly_ergodic=None,
-            integrals=integrals, fitted_rates=fitted_rates,
+            x=xval, ergodic=None, exp_ergodic=None, strongly_ergodic=None, integrals=integrals
         )
 
     combined = {name: _combine(per_direction, name) for name in _CRITERIA}
@@ -368,8 +367,7 @@ def classify(model: ModelSpec, x, fitted_rates=None) -> ErgodicityReport:
         "max_doublings": MAX_DOUBLINGS,
     }
     return ErgodicityReport(
-        x=xval, ergodic=ergodic, exp_ergodic=exp_erg, strongly_ergodic=strong,
-        integrals=integrals, fitted_rates=fitted_rates,
+        x=xval, ergodic=ergodic, exp_ergodic=exp_erg, strongly_ergodic=strong, integrals=integrals
     )
 
 
@@ -387,7 +385,7 @@ def _bernoulli(p):
     return out
 
 
-def _default_pde_grid(model, x, y0, n_points=2049):
+def _default_pde_grid(model, x, y0):
     base = default_grid(model, x)
     lo, hi = base[0], base[-1]
     span = hi - lo
@@ -398,7 +396,7 @@ def _default_pde_grid(model, x, y0, n_points=2049):
         lo = max(lo, model.fast_domain.lower)
     if model.fast_domain.bounded_above:
         hi = min(hi, model.fast_domain.upper)
-    return np.linspace(lo, hi, n_points)
+    return np.linspace(lo, hi, 2049)
 
 
 class _ForwardSolver:
@@ -414,12 +412,13 @@ class _ForwardSolver:
         c = model.coefficients
         xval = float(x)
         h = np.diff(grid)
-        gsq = c.g(np.full(grid.shape, xval), grid) ** 2
+        gsq = c.g(xval, grid) ** 2
         if np.any(gsq <= 0.0):
             raise ConfigError("fast diffusion must be positive on the pde grid")
         dcoef = 0.5 * gsq
         # edge potential drops of the flux variable: d(Phi - log D) per cell
-        ratio_int = gauss_panels(lambda y: 2.0 * c.f(np.full(np.shape(y), xval), y) / c.g(np.full(np.shape(y), xval), y) ** 2, grid)
+        ratio, _ = _log_shape_factory(model, xval)
+        ratio_int = gauss_panels(ratio, grid)
         p = ratio_int - np.diff(np.log(dcoef))
         d_edge = np.sqrt(dcoef[:-1] * dcoef[1:])
         w = d_edge / h

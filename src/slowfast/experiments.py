@@ -19,6 +19,12 @@ CLI writes a run manifest next to each artifact so any result can be
 reproduced bit for bit (random streams are keyed per path). The runners
 and the CLI still accept a worker count, which the manifest records, but
 every run is serial and the count has no effect.
+
+Each subcommand handler only computes: it returns the report payload, the
+manifest parameters, and either None (the csv form is the payload's
+dotted key,value flattening) or a callable producing the subcommand's own
+csv table. cli_main is the single render step: it resolves --model,
+renders json or csv once, and writes the artifact and its manifest.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -385,144 +391,84 @@ def _resolved_seed(args):
     return int(args.seed) if args.seed is not None else 0
 
 
-def _cmd_list_models(args):
-    rows = []
-    for name in list_builtin_models():
-        m = get_builtin(name)
-        rows.append(
-            {
-                "name": name,
-                "dim_slow": m.dim_slow,
-                "dim_fast": m.dim_fast,
-                "description": m.description,
-            }
-        )
-    if args.format == "csv":
+def _cmd_list_models(args, model):
+    rows = [
+        {"name": m.name, "dim_slow": m.dim_slow, "dim_fast": m.dim_fast, "description": m.description}
+        for m in map(get_builtin, list_builtin_models())
+    ]
+
+    def csv():
         lines = ["name,dim_slow,dim_fast,description"]
         for r in rows:
             desc = r["description"].replace('"', '""')
             lines.append(f"{r['name']},{r['dim_slow']},{r['dim_fast']},\"{desc}\"")
-        return "\n".join(lines) + "\n", {}
-    return _dump_json(rows), {}
+        return "\n".join(lines) + "\n"
+
+    return rows, {}, csv
 
 
-def _cmd_stationary(args):
-    model = get_builtin(args.model)
+def _cmd_stationary(args, model):
     rho = stationary_density(model, args.x)
-    params = {"x": args.x}
-    if args.format == "csv":
-        return rho.to_csv(), params
     payload = {"model": args.model, "x": args.x, "grid": rho.grid, "values": rho.values}
-    return _dump_json(payload), params
+    return payload, {"x": args.x}, rho.to_csv
 
 
-def _cmd_classify(args):
-    model = get_builtin(args.model)
-    report = classify(model, args.x)
-    params = {"x": args.x}
-    payload = report.as_dict()
-    if args.format == "csv":
-        return _dump_csv_report(payload), params
-    return _dump_json(payload), params
+def _cmd_classify(args, model):
+    return classify(model, args.x).as_dict(), {"x": args.x}, None
 
 
-def _cmd_distance(args):
-    model = get_builtin(args.model)
+def _cmd_distance(args, model):
     p = stationary_density(model, args.x1)
     q = stationary_density(model, args.x2)
     report = measure_distance(args.metric, p, q)
     payload = {"model": args.model, "x1": args.x1, "x2": args.x2, **report.as_dict()}
-    params = {"metric": args.metric, "x1": args.x1, "x2": args.x2}
-    if args.format == "csv":
-        return _dump_csv_report(payload), params
-    return _dump_json(payload), params
+    return payload, {"metric": args.metric, "x1": args.x1, "x2": args.x2}, None
 
 
-def _cmd_averaged(args):
-    model = get_builtin(args.model)
-    grid = _parse_x_grid(args.x_grid)
-    avg = build_averaged_model(model, grid)
-    params = {"x_grid": args.x_grid}
-    if args.format == "csv":
-        return avg.to_csv(), params
-    payload = {
-        "source": avg.source,
-        "method": avg.method,
-        "x_grid": avg.x_grid,
-        "b_bar": avg.b_bar,
-        "a_bar": avg.a_bar,
-        "sigma_bar": avg.sigma_bar,
-    }
-    return _dump_json(payload), params
+def _cmd_averaged(args, model):
+    avg = build_averaged_model(model, _parse_x_grid(args.x_grid))
+    payload = {"source": avg.source, "method": avg.method, "x_grid": avg.x_grid,
+               "b_bar": avg.b_bar, "a_bar": avg.a_bar, "sigma_bar": avg.sigma_bar}
+    return payload, {"x_grid": args.x_grid}, avg.to_csv
 
 
-def _cmd_holder(args):
-    model = get_builtin(args.model)
+def _cmd_holder(args, model):
     report = holder_fit(
         args.metric, model, _parse_pairs(args.pairs), lambda2=args.lambda2, k3=args.k3
     )
-    params = {
-        "metric": args.metric,
-        "pairs": args.pairs,
-        "lambda2": args.lambda2,
-        "k3": args.k3,
-    }
-    payload = report.as_dict()
-    if args.format == "csv":
-        return _dump_csv_report(payload), params
-    return _dump_json(payload), params
+    params = {"metric": args.metric, "pairs": args.pairs, "lambda2": args.lambda2, "k3": args.k3}
+    return report.as_dict(), params, None
 
 
-def _cmd_probe(args):
-    model = get_builtin(args.model)
-    deltas = _parse_floats(args.deltas, "--deltas")
-    record = discontinuity_probe(model, args.x0, deltas)
+def _cmd_probe(args, model):
+    record = discontinuity_probe(model, args.x0, _parse_floats(args.deltas, "--deltas"))
     payload = {"model": args.model, "x0": args.x0, **record}
-    params = {"x0": args.x0, "deltas": args.deltas}
-    if args.format == "csv":
-        return _dump_csv_report(payload), params
-    return _dump_json(payload), params
+    return payload, {"x0": args.x0, "deltas": args.deltas}, None
 
 
-def _cmd_converge(args):
-    model = get_builtin(args.model)
+def _cmd_converge(args, model):
     eps = _parse_floats(args.epsilons, "--epsilons")
     anchor = next((e for e in eps if np.isfinite(e)), None)
     if anchor is None:
         raise ConfigError("the epsilon ladder needs at least one finite value")
     config = _load_sim_config(args, anchor)
-    report = run_averaging_convergence(
-        model, eps, config, functionals=args.functionals
-    )
-    params = {
-        "epsilons": args.epsilons,
-        "functionals": bool(args.functionals),
-        "sim_config": {f.name: getattr(config, f.name) for f in fields(SimConfig)},
-    }
-    payload = report.as_dict()
-    if args.format == "csv":
-        return _dump_csv_report(payload), params
-    return _dump_json(payload), params
+    report = run_averaging_convergence(model, eps, config, functionals=args.functionals)
+    params = {"epsilons": args.epsilons, "functionals": bool(args.functionals),
+              "sim_config": asdict(config)}
+    return report.as_dict(), params, None
 
 
-def _cmd_l2fail(args):
+def _cmd_l2fail(args, model):
     if args.model not in (None, "pure-fast-l2"):
         raise ConfigError("the mean-square study runs on the pure-fast-l2 model only")
     eps = _parse_floats(args.epsilons, "--epsilons")
     config = _load_sim_config(args, eps[0])
     report = run_l2_failure(config, eps)
-    params = {
-        "epsilons": args.epsilons,
-        "sim_config": {f.name: getattr(config, f.name) for f in fields(SimConfig)},
-    }
-    payload = report.as_dict()
-    if args.format == "csv":
-        return _dump_csv_report(payload), params
-    return _dump_json(payload), params
+    params = {"epsilons": args.epsilons, "sim_config": asdict(config)}
+    return report.as_dict(), params, None
 
 
-def _cmd_decay(args):
-    model = get_builtin(args.model)
+def _cmd_decay(args, model):
     times = np.array(_parse_floats(args.times, "--times"))
     if args.mode == "pde":
         if args.config is not None:
@@ -538,16 +484,9 @@ def _cmd_decay(args):
             model, args.x, args.y0, args.y_other, times,
             n_paths=n_paths, seed=_resolved_seed(args),
         )
-    params = {
-        "x": args.x,
-        "y0": args.y0,
-        "y_other": args.y_other,
-        "times": args.times,
-        "mode": args.mode,
-    }
-    if args.format == "csv":
-        return curve.to_csv(), params
-    return _dump_json(curve.as_dict()), params
+    params = {"x": args.x, "y0": args.y0, "y_other": args.y_other, "times": args.times,
+              "mode": args.mode}
+    return curve.as_dict(), params, curve.to_csv
 
 
 _HANDLERS = {
@@ -650,10 +589,16 @@ def cli_main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        artifact, params = _HANDLERS[args.command](args)
+        # l2fail validates its optional --model itself; list-models has none
+        model = None if args.command in ("list-models", "l2fail") else get_builtin(args.model)
+        payload, params, csv = _HANDLERS[args.command](args, model)
     except SlowfastError as err:
         sys.stderr.write(_dump_json(err.diagnostic()))
         return 3
+    if args.format == "json":
+        artifact = _dump_json(payload)
+    else:
+        artifact = _dump_csv_report(payload) if csv is None else csv()
     if args.out is None:
         sys.stdout.write(artifact)
         return 0

@@ -203,7 +203,7 @@ def _transport_cost(u, wu, v, wv):
     return max(0.0, -float(res.fun))
 
 
-def wbl_distance(p, q, n_atoms=DEFAULT_ATOMS) -> float:
+def wbl_distance(p, q) -> float:
     """Bounded-Lipschitz distance via exact transport with cost min(|u-v|, 2).
 
     Inputs are atomized (see :func:`atomize`) and the transport program is
@@ -214,8 +214,8 @@ def wbl_distance(p, q, n_atoms=DEFAULT_ATOMS) -> float:
     truncated ground cost. Argument order is canonicalized before the
     solve, making symmetry exact rather than approximate.
     """
-    u, wu = atomize(p, n_atoms)
-    v, wv = atomize(q, n_atoms)
+    u, wu = atomize(p)
+    v, wv = atomize(q)
     if u.size == v.size and np.array_equal(u, v) and np.array_equal(wu, wv):
         return 0.0
     ku = (u.tobytes(), wu.tobytes())

@@ -33,13 +33,12 @@ def gauss_panels(func, edges):
     return 0.5 * h * (vals @ _GL_WEIGHTS)
 
 
-def cumulative_gauss(func, grid, base=0.0):
-    """Antiderivative of ``func`` sampled on ``grid``, equal to ``base`` at grid[0]."""
+def cumulative_gauss(func, grid):
+    """Antiderivative of ``func`` sampled on ``grid``, zero at grid[0]."""
     grid = np.asarray(grid, dtype=float)
     out = np.empty(grid.size)
     out[0] = 0.0
     np.cumsum(gauss_panels(func, grid), out=out[1:])
-    out += base
     return out
 
 
@@ -72,7 +71,7 @@ def equidistribute(probe, weight, n):
     return np.unique(grid)
 
 
-def curvature_weight(values, step, rel_floor=1e-12):
+def curvature_weight(values, step):
     """Equidistribution weight |d2 values|^(1/3) with a relative floor.
 
     The cube-root of the second difference is the classical weight that
@@ -86,7 +85,7 @@ def curvature_weight(values, step, rel_floor=1e-12):
     top = d2.max()
     if top <= 0.0:
         return np.ones_like(values)
-    return np.maximum(d2, rel_floor * top) ** (1.0 / 3.0)
+    return np.maximum(d2, 1e-12 * top) ** (1.0 / 3.0)
 
 
 def simpson_ratio(numerator, denominator, grid):
@@ -119,6 +118,16 @@ def reflect_fold(values, lower=None, upper=None):
     return lower + span - np.abs(z - span)
 
 
+def _log_linear_fit(u, v):
+    """Least squares of log(v) against u: (slope, intercept, r_squared)."""
+    slope, intercept = np.polyfit(u, np.log(v), 1)
+    resid = np.log(v) - (slope * u + intercept)
+    total = np.log(v) - np.mean(np.log(v))
+    denom = float(np.dot(total, total))
+    r2 = 1.0 if denom == 0.0 else 1.0 - float(np.dot(resid, resid)) / denom
+    return slope, intercept, r2
+
+
 def fit_exponential_decay(times, values, value_ceiling=None, value_floor=1e-12):
     """Least squares of log(values) against times.
 
@@ -134,11 +143,7 @@ def fit_exponential_decay(times, values, value_ceiling=None, value_floor=1e-12):
     t, v = t[keep], v[keep]
     if t.size < 2:
         raise FitError("need at least two points inside the fit window")
-    slope, intercept = np.polyfit(t, np.log(v), 1)
-    resid = np.log(v) - (slope * t + intercept)
-    total = np.log(v) - np.mean(np.log(v))
-    denom = float(np.dot(total, total))
-    r2 = 1.0 if denom == 0.0 else 1.0 - float(np.dot(resid, resid)) / denom
+    slope, intercept, r2 = _log_linear_fit(t, v)
     return float(np.exp(intercept)), float(-slope), r2
 
 
@@ -153,11 +158,7 @@ def fit_power_law(deltas, values):
     d, v = d[keep], v[keep]
     if d.size < 2:
         raise FitError("need at least two positive (delta, value) pairs")
-    slope, intercept = np.polyfit(np.log(d), np.log(v), 1)
-    resid = np.log(v) - (slope * np.log(d) + intercept)
-    total = np.log(v) - np.mean(np.log(v))
-    denom = float(np.dot(total, total))
-    r2 = 1.0 if denom == 0.0 else 1.0 - float(np.dot(resid, resid)) / denom
+    slope, intercept, r2 = _log_linear_fit(np.log(d), v)
     return float(np.exp(intercept)), float(slope), r2
 
 

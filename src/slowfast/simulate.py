@@ -307,13 +307,11 @@ def _frozen_copies(model: ModelSpec, x, config: SimConfig, y0s, record=lambda ys
     n_fast = config.n_slow_steps() * n_sub
     sqrt_h = np.sqrt(h)
     c = model.coefficients
-    # frozen slow coordinate of a full chunk; shorter chunks take a prefix
-    xs = np.full(min(config.chunk_size, config.n_paths), float(x))
+    xval = float(x)
 
     def step(ys, noise):
         dw = sqrt_h * noise[0]
-        xc = xs[: dw.size]
-        return tuple(model.fast_domain.reflect(y + c.f(xc, y) * h + c.g(xc, y) * dw) for y in ys)
+        return tuple(model.fast_domain.reflect(y + c.f(xval, y) * h + c.g(xval, y) * dw) for y in ys)
 
     return _euler_loop(
         config,

@@ -142,11 +142,11 @@ def _log_shape_factory(model, x):
     xval = float(x)
 
     def ratio(ys):
-        g = c.g(np.full(np.shape(ys), xval), ys)
-        return 2.0 * c.f(np.full(np.shape(ys), xval), ys) / (g * g)
+        g = c.g(xval, ys)
+        return 2.0 * c.f(xval, ys) / (g * g)
 
     def log_shape(ys, phi):
-        g = c.g(np.full(np.shape(ys), xval), ys)
+        g = c.g(xval, ys)
         gg = g * g
         if np.any(gg <= 1e-24):
             raise DegenerateDiffusionError(
@@ -158,7 +158,7 @@ def _log_shape_factory(model, x):
 
 
 def _check_nondegenerate(model, x, ys):
-    g = model.coefficients.g(np.full(np.shape(ys), float(x)), ys)
+    g = model.coefficients.g(float(x), ys)
     if np.any(np.abs(g) <= 1e-12):
         raise DegenerateDiffusionError(f"fast diffusion vanishes near x = {x!r}")
 
@@ -248,7 +248,7 @@ def _extend_direction(model, x, anchor, sign):
     )
 
 
-def default_grid(model: ModelSpec, x, n_points=DEFAULT_GRID_POINTS) -> np.ndarray:
+def default_grid(model: ModelSpec, x) -> np.ndarray:
     """Accuracy-driven grid for the invariant density at slow state x."""
     dom = model.fast_domain
     anchor = dom.anchor()
@@ -280,8 +280,8 @@ def default_grid(model: ModelSpec, x, n_points=DEFAULT_GRID_POINTS) -> np.ndarra
 
     # normalize the two sides against a common scale, then cap max spacing
     cw = trapezoid(weight, probe)
-    weight = np.maximum(weight, cw * 256.0 / (n_points * (hi - lo)))
-    return equidistribute(probe, weight, n_points)
+    weight = np.maximum(weight, cw * 256.0 / (DEFAULT_GRID_POINTS * (hi - lo)))
+    return equidistribute(probe, weight, DEFAULT_GRID_POINTS)
 
 
 def stationary_density(model: ModelSpec, x, grid=None) -> Density1D:

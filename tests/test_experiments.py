@@ -1,6 +1,10 @@
 """Experiment drivers and the command line wrapper around them."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -120,6 +124,52 @@ def test_cli_list_models_csv(capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0] == "name,dim_slow,dim_fast,description"
     assert len(lines) == 4
+
+
+def test_python_m_entry_point_lists_models():
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    done = subprocess.run(
+        [sys.executable, "-m", "slowfast", "list-models"],
+        cwd=root, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert [r["name"] for r in json.loads(done.stdout)] == ["example21", "ou-coupled", "pure-fast-l2"]
+
+
+def _key_value_rows(obj, prefix=""):
+    # dotted-key flattening of a json payload, the documented csv layout
+    if isinstance(obj, dict):
+        return [row for k, v in obj.items() for row in _key_value_rows(v, f"{prefix}{k}.")]
+    if isinstance(obj, list):
+        return [row for i, v in enumerate(obj) for row in _key_value_rows(v, f"{prefix}{i}.")]
+    return [f"{prefix[:-1]},{obj!r}" if isinstance(obj, float) else f"{prefix[:-1]},{obj}"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "--model", "ou-coupled", "--x", "0.0"],
+        ["distance", "--model", "example21", "--metric", "tv", "--x1", "0.1", "--x2", "0.0"],
+        ["holder", "--model", "ou-coupled", "--metric", "w1", "--pairs", "0.0,1.0;0.25,0.75"],
+        ["probe", "--model", "example21", "--x0", "0.0"],
+        ["converge", "--model", "ou-coupled", "--epsilons", "inf,0.5", "--functionals"],
+        ["l2fail", "--epsilons", "0.5"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_cli_csv_report_flattens_the_json_payload(tmp_path, capsys, argv):
+    if argv[0] in ("converge", "l2fail"):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n_paths": 64, "horizon": 0.2, "dt": 0.01, "x0": 0.0, "y0": 0.0}))
+        argv = [*argv, "--config", str(cfg)]
+    assert cli_main([*argv, "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert cli_main([*argv, "--format", "csv"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "key,value"
+    # json sorts its keys, the csv keeps the report's order
+    assert sorted(lines[1:]) == sorted(_key_value_rows(payload))
 
 
 def test_cli_usage_error_exits_2(capsys):
