@@ -29,13 +29,17 @@ of that panel's exponential-fitted mass (the same phi-function that
 underlies the flux scheme below). s(z) M([0, z]), e^{Phi(z)} int_0^z s
 and, run from the far end, s(z) M([z, end]) are its three instances.
 
-The forward solver discretizes the Fokker-Planck operator in flux form
-with exponentially fitted (Scharfetter-Gummel) edge fluxes built from
-exact panel integrals of 2 f / g^2, which makes the discrete stationary
-state equal to exp(Phi)/g^2 at the nodes: the continuous-time invariant
-density is preserved by construction, not approximately. Time stepping is
-Crank-Nicolson with a short backward-Euler startup to damp the ringing a
-near-point initial mass would otherwise excite.
+The forward solver is a flux operator on (grid, drift, diffusion) that
+knows nothing of models: finite volumes for u_t = -(drift u)' +
+(diffusion u)'' with exponentially fitted (Scharfetter-Gummel) edge
+fluxes in this Ito form. Each edge's Peclet number is the exact panel
+integral of drift/diffusion minus the jump in log diffusion, which makes
+the discrete stationary state exp(int drift/diffusion)/diffusion at the
+nodes; with drift f and diffusion g^2/2 that is exp(Phi)/g^2, so the
+invariant density is preserved by construction, not approximately. Time
+stepping is Crank-Nicolson with a short backward-Euler startup to damp
+the ringing a near-point initial mass would otherwise excite; both solve
+with I - (dt/2) A, LU-factored once per marched interval.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgttrf, dgttrs
 from scipy.special import logsumexp
 
 from .errors import ConfigError, ConservationError, SlowfastError
@@ -51,7 +55,7 @@ from .metrics import tv_distance
 from .models import FULL_LINE, INTERVAL, ModelSpec
 from .numerics import cumulative_gauss, fit_exponential_decay, gauss_panels, log_trapezoid
 from .simulate import SimConfig, frozen_pair_gap
-from .stationary import Density1D, _log_shape_factory, default_grid, stationary_density
+from .stationary import Density1D, _frozen_axis, default_grid, stationary_density
 
 GROWTH_CAP = 1e6
 INCREMENT_FLOOR = 1e-10
@@ -198,21 +202,15 @@ def _log_recurrence(a, b):
     return np.array(v)
 
 
-def _direction_verdicts(model, x, sign):
+def _direction_verdicts(ratio, log_gsq, anchor, sign):
     """Doubling ladder of the criterion integrals in one escape direction.
 
+    ``ratio`` and ``log_gsq`` are the frozen axis of :func:`_frozen_axis`.
     Returns {criterion: (verdict, log value)} and the last probed radius.
     """
-    anchor = model.fast_domain.anchor()
-    ratio, log_shape = _log_shape_factory(model, x)
-
-    def loggsq(r):
-        # log_shape = phi - log g^2, so feeding phi = 0 isolates log g^2
-        return -log_shape(anchor + sign * r, np.zeros(np.shape(r)))
-
     r = np.zeros(1)
     delta = np.zeros(0)  # per-panel potential increments along r
-    lgsq = loggsq(r)
+    lgsq = log_gsq(anchor + sign * r)
     ladders = {name: [] for name in _CRITERIA}
     verdicts, values = {}, {}
     settled_at = None  # doubling at which the speed mass was found finite
@@ -221,7 +219,7 @@ def _direction_verdicts(model, x, sign):
         seg = np.linspace(0.0 if k == 1 else radius / 2.0, radius, _SEGMENT_PANELS + 1)
         r = np.concatenate([r, seg[1:]])
         delta = np.concatenate([delta, sign * gauss_panels(lambda s: ratio(anchor + sign * s), seg)])
-        lgsq = np.concatenate([lgsq, loggsq(seg[1:])])
+        lgsq = np.concatenate([lgsq, log_gsq(anchor + sign * seg[1:])])
 
         logh = np.log(np.diff(r))
         gsq_edge = 0.5 * (lgsq[:-1] + lgsq[1:])
@@ -295,12 +293,12 @@ def classify(model: ModelSpec, x) -> ErgodicityReport:
         raise ConfigError("classification handles one-dimensional fast components only")
     dom = model.fast_domain
     xval = float(x)
+    ratio, log_gsq = _frozen_axis(model, xval)
 
     if dom.kind == INTERVAL:
-        ratio, log_shape = _log_shape_factory(model, xval)
         grid = np.linspace(dom.lower, dom.upper, 4097)
         phi = cumulative_gauss(ratio, grid)
-        total = log_trapezoid(log_shape(grid, phi), grid)
+        total = log_trapezoid(phi - log_gsq(grid), grid)
         integrals = {
             "speed_total": {"verdict": FINITE, "log_value": float(total), "radius": dom.upper - dom.lower},
             "note": "compact reflecting fast domain: recurrence is automatic and convergence is uniform",
@@ -314,7 +312,7 @@ def classify(model: ModelSpec, x) -> ErgodicityReport:
     radii = []
     try:
         for sign in signs:
-            result, radius = _direction_verdicts(model, xval, sign)
+            result, radius = _direction_verdicts(ratio, log_gsq, dom.anchor(), sign)
             per_direction.append(result)
             radii.append(radius)
     except SlowfastError as exc:
@@ -399,82 +397,61 @@ def _default_pde_grid(model, x, y0):
     return np.linspace(lo, hi, 2049)
 
 
-class _ForwardSolver:
-    """Flux-form finite volumes + Crank-Nicolson for the forward equation."""
+def _flux_operator(grid, drift, diffusion):
+    """Generator A of u_t = -(drift u)' + (diffusion u)'' (see the module docstring).
 
-    def __init__(self, model, x, grid):
-        grid = np.asarray(grid, dtype=float)
-        if grid.ndim != 1 or grid.size < 8 or np.any(np.diff(grid) <= 0.0):
-            raise ConfigError("pde grid must be strictly increasing with at least 8 nodes")
-        if not np.all(model.fast_domain.contains(grid, tol=1e-12)):
-            raise ConfigError("pde grid leaves the fast domain")
-        self.grid = grid
-        c = model.coefficients
-        xval = float(x)
-        h = np.diff(grid)
-        gsq = c.g(xval, grid) ** 2
-        if np.any(gsq <= 0.0):
-            raise ConfigError("fast diffusion must be positive on the pde grid")
-        dcoef = 0.5 * gsq
-        # edge potential drops of the flux variable: d(Phi - log D) per cell
-        ratio, _ = _log_shape_factory(model, xval)
-        ratio_int = gauss_panels(ratio, grid)
-        p = ratio_int - np.diff(np.log(dcoef))
-        d_edge = np.sqrt(dcoef[:-1] * dcoef[1:])
-        w = d_edge / h
-        self.a_edge = w * _bernoulli(-p)  # multiplies the left node
-        self.c_edge = w * _bernoulli(p)  # multiplies the right node
-        vol = np.empty(grid.size)
-        vol[0] = h[0] / 2.0
-        vol[-1] = h[-1] / 2.0
-        vol[1:-1] = (h[:-1] + h[1:]) / 2.0
-        self.vol = vol
-        n = grid.size
-        self.lower = np.zeros(n)
-        self.diag = np.zeros(n)
-        self.upper = np.zeros(n)
-        self.lower[1:] = self.a_edge / vol[1:]
-        self.upper[:-1] = self.c_edge / vol[:-1]
-        self.diag[:-1] -= self.a_edge / vol[:-1]
-        self.diag[1:] -= self.c_edge / vol[1:]
+    ``drift`` and ``diffusion`` map arrays of points to coefficient arrays.
+    Returns the cell volumes ``vol`` and the bands ``(lower, diag, upper)``
+    of the tridiagonal A, (A u)[i] = lower[i-1] u[i-1] + diag[i] u[i] +
+    upper[i] u[i+1]. No flux leaves through the ends, so vol @ (A u) = 0.
+    """
+    h = np.diff(grid)
+    dcoef = diffusion(grid)
+    p = gauss_panels(lambda y: drift(y) / diffusion(y), grid) - np.diff(np.log(dcoef))
+    w = np.sqrt(dcoef[:-1] * dcoef[1:]) / h
+    a_edge = w * _bernoulli(-p)  # multiplies the left node
+    c_edge = w * _bernoulli(p)  # multiplies the right node
+    vol = np.empty(grid.size)
+    vol[0] = h[0] / 2.0
+    vol[-1] = h[-1] / 2.0
+    vol[1:-1] = (h[:-1] + h[1:]) / 2.0
+    diag = np.zeros(grid.size)
+    diag[:-1] -= a_edge / vol[:-1]
+    diag[1:] -= c_edge / vol[1:]
+    return vol, (a_edge / vol[1:], diag, c_edge / vol[:-1])
 
-    def apply(self, u):
-        out = self.diag * u
-        out[:-1] += self.upper[:-1] * u[1:]
-        out[1:] += self.lower[1:] * u[:-1]
+
+def _march(bands, u, duration, startup):
+    """Crank-Nicolson for u' = A u over one interval, Rannacher startup when asked.
+
+    The startup replaces the first two steps by four backward-Euler half
+    steps; these and the Crank-Nicolson steps all solve with I - (dt/2) A.
+    """
+    lower, diag, upper = bands
+    n_steps = int(max(16, min(8192, np.ceil(duration / 2.5e-3))))
+    dt = duration / n_steps
+    scale = dt / 2.0
+    dl, d, du, du2, ipiv, info = dgttrf(-scale * lower, 1.0 - scale * diag, -scale * upper)
+    if info != 0:
+        raise ConservationError(f"Crank-Nicolson matrix is singular (LAPACK dgttrf info {info})")
+
+    def solve(rhs):
+        out, info = dgttrs(dl, d, du, du2, ipiv, rhs)
+        if info != 0:
+            raise ConservationError(f"tridiagonal solve failed (LAPACK dgttrs info {info})")
         return out
 
-    def _solve(self, scale, rhs):
-        n = self.grid.size
-        ab = np.zeros((3, n))
-        ab[0, 1:] = -scale * self.upper[:-1]
-        ab[1] = 1.0 - scale * self.diag
-        ab[2, :-1] = -scale * self.lower[1:]
-        return solve_banded((1, 1), ab, rhs)
-
-    def initial_mass(self, y0):
-        width = 2.0 * np.interp(y0, self.grid, np.gradient(self.grid))
-        u = np.exp(-0.5 * ((self.grid - y0) / width) ** 2)
-        return u / np.dot(self.vol, u)
-
-    def mass(self, u):
-        return float(np.dot(self.vol, u))
-
-    def advance(self, u, duration, startup):
-        """March u over a time interval, Rannacher startup when asked."""
-        if duration <= 0.0:
-            return u
-        n_steps = int(max(16, min(8192, np.ceil(duration / 2.5e-3))))
-        dt = duration / n_steps
-        done = 0
-        if startup:
-            for _ in range(4):
-                u = self._solve(dt / 2.0, u)
-            done = 2
-        for _ in range(n_steps - done):
-            rhs = u + 0.5 * dt * self.apply(u)
-            u = self._solve(dt / 2.0, rhs)
-        return u
+    done = 0
+    if startup:
+        for _ in range(4):
+            u = solve(u)
+        done = 2
+    for _ in range(n_steps - done):
+        au = diag * u
+        au[:-1] += upper * u[1:]
+        au[1:] += lower * u[:-1]
+        u = solve(u + 0.5 * dt * au)
+    return u
 
 
 def _density_from_state(grid, u):
@@ -487,42 +464,57 @@ def _density_from_state(grid, u):
 
 
 def _pde_snapshots(model, x, y0, times, grid=None):
-    """Forward solutions at several times from one march; shared machinery."""
+    """Forward solutions at several times from one march; shared machinery.
+
+    The only place that turns the model into the operator's drift f(x, .)
+    and diffusion g(x, .)^2 / 2.
+    """
     times = np.asarray(times, dtype=float)
     if times.size == 0 or np.any(times < 0.0) or np.any(np.diff(times) <= 0.0):
         raise ConfigError("snapshot times must be increasing and nonnegative")
-    if isinstance(y0, Density1D):
-        if grid is None:
-            grid = y0.grid
-        solver = _ForwardSolver(model, x, grid)
-        u = np.clip(y0.interpolate(solver.grid), 0.0, None)
-        total = solver.mass(u)
-        if total <= 0.0:
-            raise ConfigError("initial density has no mass on the pde grid")
-        u = u / total
-    else:
+    _, log_gsq = _frozen_axis(model, x)
+    point = not isinstance(y0, Density1D)
+    if point:
         y0 = float(y0)
         if grid is None:
             grid = _default_pde_grid(model, x, y0)
-        solver = _ForwardSolver(model, x, grid)
-        if not solver.grid[0] <= y0 <= solver.grid[-1]:
+    elif grid is None:
+        grid = y0.grid
+    grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 1 or grid.size < 8 or np.any(np.diff(grid) <= 0.0):
+        raise ConfigError("pde grid must be strictly increasing with at least 8 nodes")
+    if not np.all(model.fast_domain.contains(grid, tol=1e-12)):
+        raise ConfigError("pde grid leaves the fast domain")
+    log_gsq(grid)
+    c = model.coefficients
+    xval = float(x)
+    vol, bands = _flux_operator(grid, lambda y: c.f(xval, y), lambda y: 0.5 * c.g(xval, y) ** 2)
+    if point:
+        if not grid[0] <= y0 <= grid[-1]:
             raise ConfigError("y0 outside the pde grid")
-        u = solver.initial_mass(y0)
+        # mollified point mass two cells wide
+        width = 2.0 * np.interp(y0, grid, np.gradient(grid))
+        u = np.exp(-0.5 * ((grid - y0) / width) ** 2)
+        u = u / np.dot(vol, u)
+    else:
+        u = np.clip(y0.interpolate(grid), 0.0, None)
+        total = float(np.dot(vol, u))
+        if total <= 0.0:
+            raise ConfigError("initial density has no mass on the pde grid")
+        u = u / total
 
     out = []
     prev = 0.0
-    started = False
     for t in times:
         if t > prev:
-            u = solver.advance(u, t - prev, startup=not started)
-            started = True
+            # only the first march starts from t = 0
+            u = _march(bands, u, t - prev, startup=prev == 0.0)
         prev = t
-        if abs(solver.mass(u) - 1.0) > 1e-4:
-            raise ConservationError(
-                f"mass drifted to {solver.mass(u):.6f} at t = {t:g}; refine the grid"
-            )
-        out.append(_density_from_state(solver.grid, u))
-    return solver.grid, out
+        mass = float(np.dot(vol, u))
+        if abs(mass - 1.0) > 1e-4:
+            raise ConservationError(f"mass drifted to {mass:.6f} at t = {t:g}; refine the grid")
+        out.append(_density_from_state(grid, u))
+    return grid, out
 
 
 def forward_pde_solve(model: ModelSpec, x, y0, t, grid=None) -> Density1D:

@@ -13,6 +13,11 @@ with y_ref the lower domain bound, or 0 on the full line. This module
 computes Phi_x, tabulates the normalized density on an accuracy-driven
 grid, and estimates the same measure empirically from long trajectories.
 
+Here and in ``ergodicity`` the coefficients are read through one helper,
+``_frozen_axis``, which supplies 2 f / g^2 and log g^2 (the log shape is
+phi - log g^2) and alone rejects a slow state outside the slow domain and
+a diffusion with g^2 <= 1e-24.
+
 Grid construction
 -----------------
 The default grid spans the region found by doubling the extent until the
@@ -136,31 +141,33 @@ class EmpiricalMeasure:
             fh.write(text)
 
 
-def _log_shape_factory(model, x):
-    """log of the unnormalized invariant shape along the fast axis."""
-    c = model.coefficients
+def _frozen_axis(model, x):
+    """(ratio, log_gsq) of the frozen fast equation at slow state x.
+
+    ``ratio(y) = 2 f / g^2`` integrates to the potential Phi_x, and
+    ``log_gsq(y) = log g^2``, so the log of the unnormalized invariant shape
+    is ``phi - log_gsq(y)``. ``log_gsq`` raises DegenerateDiffusionError
+    where g^2 <= 1e-24. Raises ConfigError when x leaves the slow domain.
+    """
     xval = float(x)
+    if not model.slow_domain.contains(xval):
+        raise ConfigError(f"frozen slow coordinate {xval!r} outside the slow domain")
+    c = model.coefficients
 
     def ratio(ys):
         g = c.g(xval, ys)
         return 2.0 * c.f(xval, ys) / (g * g)
 
-    def log_shape(ys, phi):
+    def log_gsq(ys):
         g = c.g(xval, ys)
         gg = g * g
         if np.any(gg <= 1e-24):
             raise DegenerateDiffusionError(
                 f"fast diffusion vanishes on the probed range at x = {xval!r}"
             )
-        return phi - np.log(gg)
+        return np.log(gg)
 
-    return ratio, log_shape
-
-
-def _check_nondegenerate(model, x, ys):
-    g = model.coefficients.g(float(x), ys)
-    if np.any(np.abs(g) <= 1e-12):
-        raise DegenerateDiffusionError(f"fast diffusion vanishes near x = {x!r}")
+    return ratio, log_gsq
 
 
 def potential(model: ModelSpec, x, y, y_ref=None) -> float:
@@ -168,30 +175,14 @@ def potential(model: ModelSpec, x, y, y_ref=None) -> float:
 
     ``y_ref`` defaults to the fast domain's lower bound, or 0 on the line.
     """
+    ratio, log_gsq = _frozen_axis(model, x)
     anchor = model.fast_domain.anchor() if y_ref is None else float(y_ref)
     yv = float(y)
     if not model.fast_domain.contains(yv):
         raise ConfigError(f"point {yv!r} outside the fast domain")
-    _check_nondegenerate(model, x, np.linspace(anchor, yv, 65) if yv != anchor else np.array([anchor]))
-    ratio, _ = _log_shape_factory(model, x)
+    log_gsq(np.linspace(anchor, yv, 65) if yv != anchor else np.array([anchor]))
     val, _err = quad(lambda z: float(ratio(np.array(z))), anchor, yv, epsabs=1e-10, epsrel=1e-10, limit=400)
     return float(val)
-
-
-def potential_on_grid(model: ModelSpec, x, grid, base_at=None) -> np.ndarray:
-    """Phi_x on every grid node via panelwise Gauss-Legendre integration.
-
-    Zero at ``base_at`` (default: the fast domain anchor when it lies inside
-    the grid span, else the first node). Agrees with :func:`potential` to
-    quadrature accuracy on smooth coefficients.
-    """
-    grid = np.asarray(grid, dtype=float)
-    ratio, _ = _log_shape_factory(model, x)
-    phi = cumulative_gauss(ratio, grid)
-    anchor = model.fast_domain.anchor() if base_at is None else float(base_at)
-    if grid[0] <= anchor <= grid[-1]:
-        phi -= np.interp(anchor, grid, phi)
-    return phi
 
 
 def _extend_direction(model, x, anchor, sign):
@@ -201,7 +192,7 @@ def _extend_direction(model, x, anchor, sign):
     when segment masses fail to decay (the normalization integral diverges
     on an extending grid).
     """
-    ratio, log_shape = _log_shape_factory(model, x)
+    ratio, log_gsq = _frozen_axis(model, x)
     # raw segment masses decide divergence of the measure itself; the
     # weighted masses only decide when the grid may stop, and their
     # (1 + |y|)^2 factor can rise for several doublings while a shallow
@@ -224,7 +215,7 @@ def _extend_direction(model, x, anchor, sign):
         phi = cumulative_gauss(ratio, seg_sorted)
         # carry the potential from the anchor side of the segment
         phi = phi - phi[0 if sign > 0 else -1] + phi_edge
-        shape = log_shape(seg_sorted, phi)
+        shape = phi - log_gsq(seg_sorted)
         weight = 2.0 * np.log1p(np.abs(seg_sorted - anchor))
         lm = log_trapezoid(shape + weight, seg_sorted)
         phi_edge = phi[-1] if sign > 0 else phi[0]
@@ -250,21 +241,20 @@ def _extend_direction(model, x, anchor, sign):
 
 def default_grid(model: ModelSpec, x) -> np.ndarray:
     """Accuracy-driven grid for the invariant density at slow state x."""
+    ratio, log_gsq = _frozen_axis(model, x)
     dom = model.fast_domain
     anchor = dom.anchor()
-    _check_nondegenerate(model, x, np.array([anchor]))
+    log_gsq(np.array([anchor]))
     if dom.kind == INTERVAL:
         lo, hi = dom.lower, dom.upper
     else:
         hi = anchor + _extend_direction(model, x, anchor, +1.0)
         lo = anchor - _extend_direction(model, x, anchor, -1.0) if not dom.bounded_below else dom.lower
 
-    ratio, log_shape = _log_shape_factory(model, x)
-
     def side_weight(a, b):
         probe = np.linspace(a, b, _PROBE_POINTS)
         phi = cumulative_gauss(ratio, probe)
-        ls = log_shape(probe, phi)
+        ls = phi - log_gsq(probe)
         ls -= ls.max()
         m = np.exp(ls) * (1.0 + np.abs(probe - anchor))
         return probe, curvature_weight(m, probe[1] - probe[0])
@@ -290,17 +280,23 @@ def stationary_density(model: ModelSpec, x, grid=None) -> Density1D:
     With ``grid=None`` the default accuracy-driven grid is used; explicit
     grids are trusted to cover the support (the caller coarsens or extends
     as needed). Raises NotPositiveRecurrentError when the normalization
-    integral diverges on the extending default grid, and
-    DegenerateDiffusionError when g vanishes on the probed range.
+    integral diverges on the extending default grid,
+    DegenerateDiffusionError when g vanishes on the probed range, and
+    ConfigError when x leaves the slow domain.
     """
+    ratio, log_gsq = _frozen_axis(model, x)
     if grid is None:
         grid = default_grid(model, x)
     grid = np.asarray(grid, dtype=float)
     if not np.all(model.fast_domain.contains(grid, tol=1e-12)):
         raise ConfigError("grid leaves the fast domain")
-    ratio, log_shape = _log_shape_factory(model, x)
-    phi = potential_on_grid(model, x, grid)
-    ls = log_shape(grid, phi)
+    # Phi_x by panelwise Gauss-Legendre, zero at the domain anchor when the
+    # grid spans it; the shift is kept because it sets the rounding of ls
+    phi = cumulative_gauss(ratio, grid)
+    anchor = model.fast_domain.anchor()
+    if grid[0] <= anchor <= grid[-1]:
+        phi -= np.interp(anchor, grid, phi)
+    ls = phi - log_gsq(grid)
     raw = np.exp(ls - ls.max())
     return Density1D.from_unnormalized(grid, raw)
 
@@ -351,21 +347,16 @@ def _estimate_burn_in(model, x, config):
     return config.horizon / 2.0
 
 
-def empirical_invariant(model: ModelSpec, x, config: SimConfig, burn_in=None) -> EmpiricalMeasure:
+def empirical_invariant(model: ModelSpec, x, config: SimConfig) -> EmpiricalMeasure:
     """Pooled post-burn-in fast states of a frozen-run ensemble.
 
-    ``config.store`` must keep trajectories (``full`` or ``strided``).
-    ``burn_in=None`` discards ten relaxation times estimated from a quick
-    synchronous-coupling probe, falling back to half the horizon.
+    ``config.store`` must keep trajectories (``full`` or ``strided``). The
+    burn-in is ten relaxation times estimated from a quick synchronous-
+    coupling probe, capped at (and falling back to) half the horizon, so
+    the stored state at t = horizon always survives it.
     """
     if config.store == "terminal":
         raise ConfigError("empirical invariant needs store='full' or 'strided'")
-    if burn_in is None:
-        burn_in = _estimate_burn_in(model, x, config)
-    if not 0.0 <= burn_in < config.horizon:
-        raise ConfigError("burn_in must lie in [0, horizon)")
+    burn_in = _estimate_burn_in(model, x, config)
     ens = simulate_frozen(model, x, config)
-    keep = ens.times >= burn_in
-    if not np.any(keep):
-        raise ConfigError("burn_in discards every stored state")
-    return EmpiricalMeasure.from_samples(ens.fast[:, keep])
+    return EmpiricalMeasure.from_samples(ens.fast[:, ens.times >= burn_in])

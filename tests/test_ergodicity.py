@@ -3,6 +3,7 @@ import pytest
 
 from slowfast import (
     CoefficientSet,
+    DegenerateDiffusionError,
     ModelSpec,
     classify,
     forward_pde_solve,
@@ -11,20 +12,23 @@ from slowfast import (
     tv_distance,
     w1_decay_coupling,
 )
-from slowfast.ergodicity import _log_recurrence
+from slowfast.ergodicity import _flux_operator, _log_recurrence
 from slowfast.models import FULL_LINE, StateDomain
+from slowfast.numerics import cumulative_gauss
 
 from conftest import gaussian_pdf
 
 
-def line_model(f, name):
+def line_model(f, name, g=None):
+    if g is None:
+        g = lambda x, y: np.full(np.broadcast(np.asarray(x), np.asarray(y)).shape, np.sqrt(2.0))
     return ModelSpec(
         name=name,
         coefficients=CoefficientSet(
             b=lambda x, y: np.zeros(np.broadcast(np.asarray(x), np.asarray(y)).shape),
             sigma=lambda x, y: np.ones(np.broadcast(np.asarray(x), np.asarray(y)).shape),
             f=f,
-            g=lambda x, y: np.full(np.broadcast(np.asarray(x), np.asarray(y)).shape, np.sqrt(2.0)),
+            g=g,
         ),
         slow_domain=StateDomain(FULL_LINE),
         fast_domain=StateDomain(FULL_LINE),
@@ -77,6 +81,37 @@ def test_log_recurrence_is_a_geometric_sum(a):
     expected = b + (np.log(k) if a == 0.0 else np.log(np.expm1(a * k) / np.expm1(a)))
     assert v[0] == -np.inf
     np.testing.assert_allclose(v[1:], expected, rtol=1e-13, atol=0.0)
+
+
+def test_flux_operator_keeps_the_ito_form():
+    # with a non-constant diffusion D the zero-flux state of
+    # u_t = -(b u)' + (D u)'' is exp(int b/D) / D; the 1/D factor exists
+    # only through the -delta log D term of the edge Peclet number
+    drift = lambda y: -y
+    diffusion = lambda y: 1.0 + 0.5 * np.tanh(y)
+    grid = np.linspace(-6.0, 6.0, 401)
+    vol, (lower, diag, upper) = _flux_operator(grid, drift, diffusion)
+    a = np.diag(diag) + np.diag(lower, -1) + np.diag(upper, 1)
+    s = np.exp(cumulative_gauss(lambda y: drift(y) / diffusion(y), grid)) / diffusion(grid)
+    assert np.max(np.abs(a @ s)) <= 1e-13 * np.max(np.abs(diag) * s)
+    # zero flux through both ends: the generator conserves mass exactly
+    u = np.random.default_rng(7).random(grid.size)
+    assert abs(vol @ (a @ u)) <= 1e-13 * (vol @ (np.abs(diag) * u))
+
+
+@pytest.mark.parametrize(
+    "solve",
+    [
+        lambda m, grid: forward_pde_solve(m, 0.0, 1.0, 1.0, grid=grid),
+        lambda m, grid: tv_decay_curve(m, 0.0, 1.0, [1.0], grid=grid),
+    ],
+    ids=["forward_pde_solve", "tv_decay_curve"],
+)
+def test_pde_rejects_diffusion_vanishing_on_an_explicit_grid(solve):
+    vanishing = line_model(lambda x, y: -np.asarray(y, float), "vanishing-g", g=lambda x, y: np.tanh(y))
+    grid = np.linspace(-4.0, 4.0, 81)  # holds the node y = 0 where g = 0
+    with pytest.raises(DegenerateDiffusionError):
+        solve(vanishing, grid)
 
 
 def test_heat_kernel():

@@ -190,6 +190,12 @@ def test_cli_bad_grid_exits_3(capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
 
 
+def test_cli_probe_past_the_slow_domain_exits_3(capsys):
+    # the probe points x0 + delta leave example21's slow domain [0, 1]
+    assert cli_main(["probe", "--model", "example21", "--x0", "1.0"]) == 3
+    assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

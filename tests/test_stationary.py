@@ -7,7 +7,10 @@ from slowfast import (
     ModelSpec,
     NotPositiveRecurrentError,
     SimConfig,
+    averaged_drift,
+    classify,
     empirical_invariant,
+    forward_pde_solve,
     moment,
     potential,
     stationary_density,
@@ -108,6 +111,25 @@ def test_default_grid_anchored_and_increasing(example21):
     g = default_grid(example21, 0.5)
     assert np.all(np.diff(g) > 0)
     assert g[0] == pytest.approx(0.0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda m: stationary_density(m, 2.0),
+        lambda m: default_grid(m, -0.5),
+        lambda m: classify(m, -1.0),
+        lambda m: forward_pde_solve(m, 1.5, 1.0, 1.0, grid=np.linspace(0.0, 20.0, 257)),
+        lambda m: averaged_drift(m, 1.1),
+        lambda m: potential(m, 1.5, 1.0),
+    ],
+    ids=["stationary_density", "default_grid", "classify", "forward_pde_solve", "averaged_drift", "potential"],
+)
+def test_frozen_state_outside_the_slow_domain_is_rejected(example21, call):
+    # example21's slow domain is [0, 1]; its coefficients still evaluate
+    # outside it, so nothing but the domain check can refuse these states
+    with pytest.raises(ConfigError, match="outside the slow domain"):
+        call(example21)
 
 
 def test_density_constructor_rejects_negative_mass():
