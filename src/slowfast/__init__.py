@@ -71,7 +71,6 @@ from .models import (
 from .simulate import (
     Ensemble,
     SimConfig,
-    load_npz,
     simulate_averaged,
     simulate_coupled,
     simulate_frozen,

@@ -135,19 +135,6 @@ class AveragedModel:
     def sigma(self, x):
         return np.interp(x, self.x_grid, self.sigma_bar)
 
-    def to_csv(self, path=None):
-        lines = ["x,b_bar,a_bar,sigma_bar"]
-        for i in range(self.x_grid.size):
-            lines.append(
-                f"{float(self.x_grid[i])!r},{float(self.b_bar[i])!r}"
-                f",{float(self.a_bar[i])!r},{float(self.sigma_bar[i])!r}"
-            )
-        text = "\n".join(lines) + "\n"
-        if path is None:
-            return text
-        with open(path, "w") as fh:
-            fh.write(text)
-
 
 def build_averaged_model(model: ModelSpec, x_grid) -> AveragedModel:
     """Tabulate bbar, abar, sigmabar on a slow-variable grid.
@@ -276,8 +263,8 @@ def holder_fit(metric: str, model: ModelSpec, pairs, lambda2=None, k3=None) -> H
     else:
         lam = float(lambda2 if lambda2 is not None else model.assumption_constants.get("lambda2", 1.0))
         kk = float(k3 if k3 is not None else model.assumption_constants.get("K3", 1.0))
-        if lam <= 0.0 or kk < 0.0:
-            raise ConfigError("need lambda2 > 0 and K3 >= 0 for the reference exponent")
+        if not (np.isfinite(lam) and np.isfinite(kk)) or lam <= 0.0 or kk < 0.0:
+            raise ConfigError("need finite lambda2 > 0 and K3 >= 0 for the reference exponent")
         ref = lam / (lam + kk)
         constants = {"lambda2": lam, "K3": kk}
 

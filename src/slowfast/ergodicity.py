@@ -121,15 +121,6 @@ class DecayCurve:
             "fit": self.fit,
         }
 
-    def to_csv(self, path=None):
-        text = "t,value\n" + "".join(
-            f"{float(t)!r},{float(v)!r}\n" for t, v in zip(self.times, self.values)
-        )
-        if path is None:
-            return text
-        with open(path, "w") as fh:
-            fh.write(text)
-
 
 def _log_phi1(d):
     """log of (e^d - 1)/d, stable from huge-negative to huge-positive d."""
@@ -287,7 +278,8 @@ def classify(model: ModelSpec, x) -> ErgodicityReport:
 
     Never silently guesses: each verdict is backed by a recorded criterion
     value, and undecidable ladders yield None with the partial value kept
-    in ``integrals``.
+    in ``integrals``. A criterion that cannot be evaluated raises its
+    SlowfastError.
     """
     if model.dim_fast != 1:
         raise ConfigError("classification handles one-dimensional fast components only")
@@ -310,16 +302,10 @@ def classify(model: ModelSpec, x) -> ErgodicityReport:
     signs = [1.0] if dom.kind != FULL_LINE else [1.0, -1.0]
     per_direction = []
     radii = []
-    try:
-        for sign in signs:
-            result, radius = _direction_verdicts(ratio, log_gsq, dom.anchor(), sign)
-            per_direction.append(result)
-            radii.append(radius)
-    except SlowfastError as exc:
-        integrals = {"note": f"criterion evaluation failed: {exc}"}
-        return ErgodicityReport(
-            x=xval, ergodic=None, exp_ergodic=None, strongly_ergodic=None, integrals=integrals
-        )
+    for sign in signs:
+        result, radius = _direction_verdicts(ratio, log_gsq, dom.anchor(), sign)
+        per_direction.append(result)
+        radii.append(radius)
 
     combined = {name: _combine(per_direction, name) for name in _CRITERIA}
 
@@ -470,8 +456,9 @@ def _pde_snapshots(model, x, y0, times, grid=None):
     and diffusion g(x, .)^2 / 2.
     """
     times = np.asarray(times, dtype=float)
-    if times.size == 0 or np.any(times < 0.0) or np.any(np.diff(times) <= 0.0):
-        raise ConfigError("snapshot times must be increasing and nonnegative")
+    finite = np.all(np.isfinite(times))
+    if times.size == 0 or not finite or np.any(times < 0.0) or np.any(np.diff(times) <= 0.0):
+        raise ConfigError("snapshot times must be finite, increasing and nonnegative")
     _, log_gsq = _frozen_axis(model, x)
     point = not isinstance(y0, Density1D)
     if point:
@@ -563,8 +550,9 @@ def w1_decay_coupling(model: ModelSpec, x, y, y_other, times, n_paths=256, seed=
     not a certified supremum).
     """
     times = np.asarray(times, dtype=float)
-    if times.size == 0 or np.any(times <= 0.0) or np.any(np.diff(times) <= 0.0):
-        raise ConfigError("times must be increasing and positive")
+    finite = np.all(np.isfinite(times))
+    if times.size == 0 or not finite or np.any(times <= 0.0) or np.any(np.diff(times) <= 0.0):
+        raise ConfigError("times must be finite, increasing and positive")
     t_max = float(times[-1])
     dt = 0.01
     n = int(np.ceil(t_max / dt - 1e-12))

@@ -24,7 +24,8 @@ Each subcommand handler only computes: it returns the report payload, the
 manifest parameters, and either None (the csv form is the payload's
 dotted key,value flattening) or a callable producing the subcommand's own
 csv table. cli_main is the single render step: it resolves --model,
-renders json or csv once, and writes the artifact and its manifest.
+renders json or csv once, and writes the artifact and its manifest. No
+other module of the package renders text output or touches a file.
 """
 
 from __future__ import annotations
@@ -315,6 +316,12 @@ def _flatten(obj, prefix=""):
     return rows
 
 
+def _csv_table(header, *columns) -> str:
+    """One csv row per index of the columns, every cell a float repr."""
+    rows = (",".join(f"{float(v)!r}" for v in row) for row in zip(*columns))
+    return "\n".join([header, *rows]) + "\n"
+
+
 def _dump_csv_report(obj) -> str:
     lines = ["key,value"]
     for key, value in _flatten(_to_native(obj)):
@@ -337,8 +344,8 @@ def _parse_x_grid(text):
         start, stop, step = (float(p) for p in parts)
     except ValueError:
         raise ConfigError(f"--x-grid expects numbers start:stop:step, got {text!r}") from None
-    if step <= 0.0 or stop <= start:
-        raise ConfigError("--x-grid needs stop > start and step > 0")
+    if not np.all(np.isfinite((start, stop, step))) or step <= 0.0 or stop <= start:
+        raise ConfigError("--x-grid needs finite numbers with stop > start and step > 0")
     n = int(round((stop - start) / step))
     if abs(start + n * step - stop) > 1e-9 * max(1.0, abs(stop)):
         raise ConfigError("--x-grid step must divide the range")
@@ -410,7 +417,7 @@ def _cmd_list_models(args, model):
 def _cmd_stationary(args, model):
     rho = stationary_density(model, args.x)
     payload = {"model": args.model, "x": args.x, "grid": rho.grid, "values": rho.values}
-    return payload, {"x": args.x}, rho.to_csv
+    return payload, {"x": args.x}, lambda: _csv_table("y,density", rho.grid, rho.values)
 
 
 def _cmd_classify(args, model):
@@ -429,7 +436,8 @@ def _cmd_averaged(args, model):
     avg = build_averaged_model(model, _parse_x_grid(args.x_grid))
     payload = {"source": avg.source, "method": avg.method, "x_grid": avg.x_grid,
                "b_bar": avg.b_bar, "a_bar": avg.a_bar, "sigma_bar": avg.sigma_bar}
-    return payload, {"x_grid": args.x_grid}, avg.to_csv
+    csv = lambda: _csv_table("x,b_bar,a_bar,sigma_bar", avg.x_grid, avg.b_bar, avg.a_bar, avg.sigma_bar)
+    return payload, {"x_grid": args.x_grid}, csv
 
 
 def _cmd_holder(args, model):
@@ -486,7 +494,7 @@ def _cmd_decay(args, model):
         )
     params = {"x": args.x, "y0": args.y0, "y_other": args.y_other, "times": args.times,
               "mode": args.mode}
-    return curve.as_dict(), params, curve.to_csv
+    return curve.as_dict(), params, lambda: _csv_table("t,value", curve.times, curve.values)
 
 
 _HANDLERS = {

@@ -22,8 +22,7 @@ makes pathwise comparisons of the two equations meaningful.
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -129,17 +128,13 @@ class Ensemble:
     """Stored states of many paths on the slow grid.
 
     ``slow`` and ``fast`` have shape (n_paths, n_stored); ``fast`` is None
-    for averaged runs. ``stream_ids`` records the path index behind each
-    row's random streams.
+    for averaged runs. Row i holds path i, whose random streams are keyed
+    by the path index i.
     """
 
-    model: str
-    kind: str
-    config: SimConfig
     times: np.ndarray
     slow: np.ndarray
     fast: np.ndarray | None
-    stream_ids: np.ndarray
 
     @property
     def n_paths(self):
@@ -147,34 +142,6 @@ class Ensemble:
 
     def terminal_slow(self):
         return self.slow[:, -1]
-
-    def to_csv(self, path):
-        """Write one row per stored state: path id, time, slow, fast."""
-        cols = "path,t,x" + (",y" if self.fast is not None else "")
-        with open(path, "w") as fh:
-            fh.write(cols + "\n")
-            for i in range(self.n_paths):
-                for j, t in enumerate(self.times):
-                    row = f"{int(self.stream_ids[i])},{float(t)!r},{float(self.slow[i, j])!r}"
-                    if self.fast is not None:
-                        row += f",{float(self.fast[i, j])!r}"
-                    fh.write(row + "\n")
-
-    def to_npz(self, path):
-        """Flat binary layout: arrays plus a JSON header string."""
-        header = json.dumps(
-            {"model": self.model, "kind": self.kind, "config": asdict(self.config)},
-            sort_keys=True,
-        )
-        arrays = {
-            "header": np.frombuffer(header.encode(), dtype=np.uint8),
-            "times": self.times,
-            "slow": self.slow,
-            "stream_ids": self.stream_ids,
-        }
-        if self.fast is not None:
-            arrays["fast"] = self.fast
-        np.savez(path, **arrays)
 
 
 def _draw_rows(seed, p0, p1, tag, variant, n_draws):
@@ -283,15 +250,7 @@ def simulate_coupled(model: ModelSpec, config: SimConfig) -> Ensemble:
         return np.full(n, float(config.x0)), np.full(n, float(config.y0))
 
     times, (slow, fast) = _euler_loop(config, n_sub, draw, start, step)
-    return Ensemble(
-        model=model.name,
-        kind="coupled",
-        config=config,
-        times=times,
-        slow=slow,
-        fast=fast,
-        stream_ids=np.arange(config.n_paths),
-    )
+    return Ensemble(times=times, slow=slow, fast=fast)
 
 
 def _frozen_copies(model: ModelSpec, x, config: SimConfig, y0s, record=lambda ys: ys):
@@ -332,15 +291,7 @@ def simulate_frozen(model: ModelSpec, x, config: SimConfig) -> Ensemble:
     fast table's shape, so it costs no memory.
     """
     times, (fast,) = _frozen_copies(model, x, config, (config.y0,))
-    return Ensemble(
-        model=model.name,
-        kind="frozen",
-        config=config,
-        times=times,
-        slow=np.broadcast_to(float(x), fast.shape),
-        fast=fast,
-        stream_ids=np.arange(config.n_paths),
-    )
+    return Ensemble(times=times, slow=np.broadcast_to(float(x), fast.shape), fast=fast)
 
 
 def frozen_pair_gap(model: ModelSpec, x, config: SimConfig, y0_other):
@@ -397,28 +348,5 @@ def simulate_averaged(avg, config: SimConfig, paired=False, variant=0) -> Ensemb
         return (x if domain is None else domain.reflect(x),)
 
     times, (slow,) = _euler_loop(config, 1, draw, lambda n: (np.full(n, float(config.x0)),), step)
-    return Ensemble(
-        model=getattr(avg, "source", "averaged"),
-        kind="averaged",
-        config=config,
-        times=times,
-        slow=slow,
-        fast=None,
-        stream_ids=np.arange(config.n_paths),
-    )
+    return Ensemble(times=times, slow=slow, fast=None)
 
-
-def load_npz(path) -> Ensemble:
-    """Inverse of Ensemble.to_npz."""
-    with np.load(path) as data:
-        header = json.loads(bytes(data["header"]).decode())
-        fast = data["fast"] if "fast" in data.files else None
-        return Ensemble(
-            model=header["model"],
-            kind=header["kind"],
-            config=SimConfig(**header["config"]),
-            times=data["times"],
-            slow=data["slow"],
-            fast=fast,
-            stream_ids=data["stream_ids"],
-        )

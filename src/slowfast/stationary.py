@@ -103,15 +103,6 @@ class Density1D:
         """CDF interpolated at points, 0 left of the grid and 1 right of it."""
         return np.interp(points, self.grid, self.cdf, left=0.0, right=1.0)
 
-    def to_csv(self, path=None):
-        text = "y,density\n" + "".join(
-            f"{float(y)!r},{float(v)!r}\n" for y, v in zip(self.grid, self.values)
-        )
-        if path is None:
-            return text
-        with open(path, "w") as fh:
-            fh.write(text)
-
 
 @dataclass(frozen=True)
 class EmpiricalMeasure:
@@ -132,13 +123,6 @@ class EmpiricalMeasure:
     @property
     def n_samples(self):
         return self.samples.size
-
-    def to_csv(self, path=None):
-        text = "y\n" + "".join(f"{float(y)!r}\n" for y in self.samples)
-        if path is None:
-            return text
-        with open(path, "w") as fh:
-            fh.write(text)
 
 
 def _frozen_axis(model, x):

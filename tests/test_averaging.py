@@ -165,13 +165,3 @@ def test_averaged_model_validation():
             slow_domain=StateDomain(FULL_LINE),
             method="analytic",
         )
-
-
-def test_averaged_model_csv_round_trip(ou, tmp_path):
-    avg = build_averaged_model(ou, np.linspace(-1.0, 1.0, 9))
-    p = tmp_path / "avg.csv"
-    avg.to_csv(p)
-    back = np.loadtxt(p, delimiter=",", skiprows=1)
-    np.testing.assert_array_equal(back[:, 0], avg.x_grid)
-    np.testing.assert_array_equal(back[:, 1], avg.b_bar)
-    np.testing.assert_array_equal(back[:, 3], avg.sigma_bar)

@@ -72,6 +72,14 @@ def test_classify_records_criterion_integrals(example21):
     assert report.integrals["exponential_sup"]["value"] == pytest.approx(2.0, rel=1e-6)
 
 
+def test_classify_raises_where_the_fast_diffusion_vanishes():
+    # g = tanh y vanishes at the anchor y = 0; classify raises like the density does
+    vanishing = line_model(lambda x, y: -np.asarray(y, float), "vanishing-g", g=lambda x, y: np.tanh(y))
+    for solve in (stationary_density, classify):
+        with pytest.raises(DegenerateDiffusionError):
+            solve(vanishing, 0.5)
+
+
 @pytest.mark.parametrize("a", [-0.3, 0.0, 0.3])
 def test_log_recurrence_is_a_geometric_sum(a):
     # constant a and b: V[n] = e^b (1 + e^a + ... + e^{(n-1) a})
@@ -155,12 +163,3 @@ def test_w1_coupling_decay_rate(ou):
     assert curve.fit["rate"] == pytest.approx(1.00503, abs=1e-3)
     assert curve.fit["r_squared"] > 0.999999
     assert curve.fit["amplitude"] == pytest.approx(4.0, rel=1e-3)
-
-
-def test_decay_curve_csv(ou, tmp_path):
-    curve = w1_decay_coupling(ou, 0.0, 1.0, 0.0, [0.5, 1.0], n_paths=8, seed=0)
-    text = curve.to_csv()
-    assert text.splitlines()[0] == "t,value"
-    p = tmp_path / "curve.csv"
-    curve.to_csv(p)
-    assert p.read_text() == text

@@ -1,5 +1,7 @@
 """Experiment drivers and the command line wrapper around them."""
 
+import ast
+import io
 import json
 import os
 import subprocess
@@ -172,6 +174,28 @@ def test_cli_csv_report_flattens_the_json_payload(tmp_path, capsys, argv):
     assert sorted(lines[1:]) == sorted(_key_value_rows(payload))
 
 
+@pytest.mark.parametrize(
+    "argv, header, keys",
+    [
+        (["stationary", "--model", "example21", "--x", "0.5"], "y,density", ("grid", "values")),
+        (["averaged", "--model", "ou-coupled", "--x-grid", "0:1:0.125"], "x,b_bar,a_bar,sigma_bar",
+         ("x_grid", "b_bar", "a_bar", "sigma_bar")),
+        (["decay", "--model", "ou-coupled", "--x", "0.0", "--y0", "3.0", "--times", "1,2,3",
+          "--mode", "pde"], "t,value", ("times", "values")),
+    ],
+    ids=["stationary", "averaged", "decay-pde"],
+)
+def test_cli_csv_table_holds_the_json_arrays_bit_for_bit(capsys, argv, header, keys):
+    assert cli_main([*argv, "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert cli_main([*argv, "--format", "csv"]) == 0
+    text = capsys.readouterr().out
+    assert text.splitlines()[0] == header
+    table = np.loadtxt(io.StringIO(text), delimiter=",", skiprows=1, ndmin=2)
+    for column, key in zip(table.T, keys, strict=True):
+        np.testing.assert_array_equal(column, np.array(payload[key]))
+
+
 def test_cli_usage_error_exits_2(capsys):
     assert cli_main(["stationary", "--model", "ou-coupled"]) == 2  # missing --x
     assert cli_main(["no-such-command"]) == 2
@@ -208,6 +232,28 @@ def test_cli_malformed_number_exits_3(capsys, argv):
     assert cli_main(argv) == 3
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ConfigError" and argv[-1] in err["message"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["holder", "--model", "ou-coupled", "--metric", "w1", "--pairs", "0.0,1.0", "--lambda2", "inf"],
+        ["holder", "--model", "ou-coupled", "--metric", "w1", "--pairs", "0.0,1.0", "--lambda2", "nan"],
+        ["holder", "--model", "ou-coupled", "--metric", "w1", "--pairs", "0.0,1.0", "--k3", "inf"],
+        ["decay", "--model", "ou-coupled", "--x", "0.0", "--y0", "1.0", "--times", "nan"],
+        ["decay", "--model", "ou-coupled", "--x", "0.0", "--y0", "1.0", "--times", "1,nan"],
+        ["decay", "--model", "ou-coupled", "--x", "0.0", "--y0", "1.0", "--times", "0.5,inf",
+         "--mode", "coupling", "--y-other", "0.0"],
+        ["averaged", "--model", "ou-coupled", "--x-grid", "0:nan:0.1"],
+        ["averaged", "--model", "ou-coupled", "--x-grid", "0:inf:0.1"],
+    ],
+    ids=["lambda2-inf", "lambda2-nan", "k3-inf", "times-nan", "times-1,nan", "coupling-times-inf",
+         "x-grid-nan", "x-grid-inf"],
+)
+def test_cli_non_finite_input_exits_3(capsys, argv):
+    assert cli_main(argv) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError" and "finite" in err["message"]
 
 
 def test_cli_averaged_example21_fine_grid(capsys):
@@ -319,3 +365,34 @@ def test_rerun_from_manifest_is_bit_identical(tmp_path):
     manifest = json.loads((tmp_path / "conv-rerun.json.manifest.json").read_text())
     assert str(second) in manifest["params"]["argv"]
     assert manifest["params"]["workers"] == 3
+
+
+def _renders_or_touches_files(node):
+    """``import json``, ``open(...)``, ``x.open(...)``, ``np.save*(...)`` or ``np.load*(...)``."""
+    if isinstance(node, ast.Import):
+        return any(alias.name == "json" for alias in node.names)
+    if isinstance(node, ast.ImportFrom):
+        return node.module == "json"
+    if not isinstance(node, ast.Call):
+        return False
+    f = node.func
+    if isinstance(f, ast.Name):
+        return f.id == "open"
+    if not isinstance(f, ast.Attribute):
+        return False
+    numpy_io = isinstance(f.value, ast.Name) and f.value.id == "np" and f.attr.startswith(("save", "load"))
+    return f.attr == "open" or numpy_io
+
+
+def test_only_the_cli_module_renders_output_or_touches_files():
+    # artifacts are rendered and written by experiments alone; every other
+    # module returns plain data
+    package = Path(__file__).resolve().parents[1] / "src" / "slowfast"
+    offenders = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        if path.name != "experiments.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if _renders_or_touches_files(node)
+    ]
+    assert offenders == []

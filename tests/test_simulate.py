@@ -11,7 +11,6 @@ from slowfast import (
     ConfigError,
     ModelSpec,
     SimConfig,
-    load_npz,
     simulate_averaged,
     simulate_coupled,
     simulate_frozen,
@@ -189,21 +188,6 @@ def test_blowup_raises_with_step_context(run, path_index, step):
     with pytest.raises(BlowUpError, match="non-finite") as info:
         run()
     assert (info.value.path_index, info.value.step) == (path_index, step)
-
-
-@pytest.mark.parametrize("kind", ["coupled", "frozen"])
-def test_npz_round_trip(tmp_path, ou, small_config, kind):
-    if kind == "coupled":
-        ens = simulate_coupled(ou, small_config)
-    else:
-        ens = simulate_frozen(ou, 0.5, replace(small_config, store="full"))
-    p = tmp_path / "run.npz"
-    ens.to_npz(p)
-    back = load_npz(p)
-    np.testing.assert_array_equal(back.slow, ens.slow)
-    np.testing.assert_array_equal(back.fast, ens.fast)
-    assert back.model == ens.model
-    assert back.config == ens.config
 
 
 def test_frozen_sim_fixes_the_slow_state(example21):

@@ -161,14 +161,3 @@ def test_burn_in_probe_propagates_program_errors(ou, monkeypatch):
     cfg = SimConfig(epsilon=1.0, dt=0.02, horizon=1.0, n_paths=4, seed=1, y0=0.0, store="full")
     with pytest.raises(RuntimeError, match="probe bug"):
         empirical_invariant(ou, 0.0, cfg)
-
-
-def test_density_csv_round_trip(ou, tmp_path):
-    rho = stationary_density(ou, 0.0)
-    text = rho.to_csv()
-    assert text.startswith("y,density\n")
-    p = tmp_path / "rho.csv"
-    rho.to_csv(p)
-    back = np.loadtxt(p, delimiter=",", skiprows=1)
-    np.testing.assert_array_equal(back[:, 0], rho.grid)
-    np.testing.assert_array_equal(back[:, 1], rho.values)
