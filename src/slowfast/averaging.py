@@ -62,10 +62,8 @@ def _check_integrand_tail(grid, integrand, domain):
 
 
 def _expectation(model, rho, factor):
-    """int factor(y) rho(dy) by Simpson quadrature on the density's grid."""
-    values = np.asarray(factor(rho.grid), dtype=float)
-    if values.shape != rho.grid.shape:
-        raise ConfigError("integrand factor must be vectorized over the grid")
+    """int factor(y) rho(dy) by Simpson quadrature on the density's grid; a constant broadcasts."""
+    values = np.broadcast_to(np.asarray(factor(rho.grid), dtype=float), rho.grid.shape)
     _check_integrand_tail(rho.grid, values * rho.values, model.fast_domain)
     return simpson_ratio(values * rho.values, rho.values, rho.grid)
 

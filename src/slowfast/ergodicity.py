@@ -52,7 +52,7 @@ from scipy.special import logsumexp
 
 from .errors import ConfigError, ConservationError, SlowfastError
 from .metrics import tv_distance
-from .models import FULL_LINE, INTERVAL, ModelSpec
+from .models import FULL_LINE, INTERVAL, ModelSpec, _evaluate
 from .numerics import cumulative_gauss, fit_exponential_decay, gauss_panels, log_trapezoid
 from .simulate import SimConfig, frozen_pair_gap
 from .stationary import Density1D, _frozen_axis, default_grid, stationary_density
@@ -80,8 +80,8 @@ class ErgodicityReport:
 
     Verdicts are True / False / None, None meaning the numerics could not
     decide within the ladder limits. ``integrals`` records each criterion
-    integral with its verdict and the probed radius. ``fitted_rates`` is
-    always None; the key stays because saved artifacts carry it.
+    integral with its verdict and the probed radius. ``as_dict`` writes
+    ``"fitted_rates": None``, a key that saved artifacts carry.
     """
 
     x: float
@@ -89,7 +89,6 @@ class ErgodicityReport:
     exp_ergodic: bool | None
     strongly_ergodic: bool | None
     integrals: dict
-    fitted_rates: dict | None = None
 
     @staticmethod
     def _word(v):
@@ -102,7 +101,7 @@ class ErgodicityReport:
             "exp_ergodic": self._word(self.exp_ergodic),
             "strongly_ergodic": self._word(self.strongly_ergodic),
             "integrals": self.integrals,
-            "fitted_rates": self.fitted_rates,
+            "fitted_rates": None,
         }
 
 
@@ -474,8 +473,7 @@ def _pde_snapshots(model, x, y0, times, grid=None):
         raise ConfigError("pde grid leaves the fast domain")
     log_gsq(grid)
     c = model.coefficients
-    xval = float(x)
-    vol, bands = _flux_operator(grid, lambda y: c.f(xval, y), lambda y: 0.5 * c.g(xval, y) ** 2)
+    vol, bands = _flux_operator(grid, lambda y: _evaluate(c.f, x, y), lambda y: 0.5 * _evaluate(c.g, x, y) ** 2)
     if point:
         if not grid[0] <= y0 <= grid[-1]:
             raise ConfigError("y0 outside the pde grid")

@@ -93,7 +93,7 @@ def _validate_epsilons(epsilons):
 
 def _frozen_coupling_surrogate(model):
     """The coupled system with the fast equation switched off (Y stays at y0)."""
-    zero = lambda x, y: np.zeros_like(np.asarray(y, dtype=float))
+    zero = lambda x, y: 0.0
     return replace(
         model,
         name=model.name + "-frozen-fast",
@@ -133,7 +133,7 @@ class ConvergenceReport:
 
 
 def run_averaging_convergence(
-    model: ModelSpec, epsilons, config: SimConfig, x_grid=None, functionals=False, workers=1
+    model: ModelSpec, epsilons, config: SimConfig, functionals=False, workers=1
 ) -> ConvergenceReport:
     """Terminal-law distance between the coupled slow state and its averaged limit.
 
@@ -156,14 +156,13 @@ def run_averaging_convergence(
                 f"model {model.name!r} fails the {name} condition at "
                 f"{report[name].witness}; the averaging study does not apply"
             )
-    if x_grid is None:
-        dom = model.slow_domain
-        if dom.bounded_below and dom.bounded_above:
-            x_grid = np.linspace(dom.lower, dom.upper, 1025)
-        else:
-            lo = config.x0 - 10.0 if not dom.bounded_below else dom.lower
-            hi = config.x0 + 10.0 if not dom.bounded_above else dom.upper
-            x_grid = np.linspace(lo, hi, 1025)
+    dom = model.slow_domain
+    if dom.bounded_below and dom.bounded_above:
+        x_grid = np.linspace(dom.lower, dom.upper, 1025)
+    else:
+        lo = config.x0 - 10.0 if not dom.bounded_below else dom.lower
+        hi = config.x0 + 10.0 if not dom.bounded_above else dom.upper
+        x_grid = np.linspace(lo, hi, 1025)
     avg = build_averaged_model(model, x_grid)
 
     w1_terminal = []
@@ -282,6 +281,7 @@ def run_l2_failure(config: SimConfig, epsilons, workers=1) -> L2Report:
 # command line
 
 _CONFIG_DEFAULTS = dict(dt=0.01, horizon=1.0, n_paths=10_000)
+MAX_X_GRID_NODES = 2**20
 _SIM_CONFIG_HELP = "JSON file with SimConfig fields (flat key-value)"
 
 
@@ -346,7 +346,10 @@ def _parse_x_grid(text):
         raise ConfigError(f"--x-grid expects numbers start:stop:step, got {text!r}") from None
     if not np.all(np.isfinite((start, stop, step))) or step <= 0.0 or stop <= start:
         raise ConfigError("--x-grid needs finite numbers with stop > start and step > 0")
-    n = int(round((stop - start) / step))
+    count = (stop - start) / step
+    if not count <= MAX_X_GRID_NODES - 1:  # also refuses a count that overflowed to inf
+        raise ConfigError(f"--x-grid asks for more than {MAX_X_GRID_NODES} nodes")
+    n = int(round(count))
     if abs(start + n * step - stop) > 1e-9 * max(1.0, abs(stop)):
         raise ConfigError("--x-grid step must divide the range")
     return np.linspace(start, stop, n + 1)
@@ -389,8 +392,9 @@ def _load_sim_config(args, epsilon):
     merged = dict(_CONFIG_DEFAULTS)
     if args.config is not None:
         merged.update(_read_config(args.config, {f.name for f in fields(SimConfig)}))
-    merged["epsilon"] = float(merged.get("epsilon", epsilon))
-    merged["seed"] = int(args.seed if args.seed is not None else merged.get("seed", 0))
+    eps = merged.get("epsilon", epsilon)
+    merged["epsilon"] = float(eps) if type(eps) in (int, float) else eps  # SimConfig names a mistyped one
+    merged["seed"] = args.seed if args.seed is not None else merged.get("seed", 0)
     return SimConfig(**merged)
 
 
@@ -487,7 +491,7 @@ def _cmd_decay(args, model):
             raise ConfigError("--mode coupling needs --y-other")
         n_paths = 256
         if args.config is not None:
-            n_paths = int(_read_config(args.config, {"n_paths"}).get("n_paths", n_paths))
+            n_paths = _read_config(args.config, {"n_paths"}).get("n_paths", n_paths)
         curve = w1_decay_coupling(
             model, args.x, args.y0, args.y_other, times,
             n_paths=n_paths, seed=_resolved_seed(args),
@@ -549,7 +553,7 @@ def _build_parser():
 
     sp = sub.add_parser("averaged", help="tabulated averaged coefficients (csv: x,b_bar,a_bar,sigma_bar)")
     common(sp)
-    sp.add_argument("--x-grid", dest="x_grid", required=True, help="start:stop:step")
+    sp.add_argument("--x-grid", dest="x_grid", required=True, help=f"start:stop:step, at most {MAX_X_GRID_NODES} nodes")
 
     sp = sub.add_parser("holder", help="power-law fit of invariant-measure distances")
     common(sp)

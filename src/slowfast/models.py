@@ -32,9 +32,11 @@ Three built-in models are registered:
     law as epsilon -> 0 while the mean-square gap E|X_T - Xbar_T|^2 tends to
     2 T: weak convergence without L2 convergence.
 
-All coefficient callables are numpy-vectorized: they accept broadcastable
-arrays ``(x, y)`` and return an array of the broadcast shape. Evaluation is
-pure; identical inputs give bit-identical outputs.
+Coefficients are plain numpy formulas of float arrays ``(x, y)`` that may
+return anything broadcasting against them, Python float constants
+included; the consumers that tabulate them along a grid broadcast them
+through ``_evaluate``. Evaluation is pure: identical inputs give
+bit-identical outputs.
 """
 
 from __future__ import annotations
@@ -107,7 +109,7 @@ class StateDomain:
 
 @dataclass(frozen=True)
 class CoefficientSet:
-    """Vectorized coefficient maps (x, y) -> array for one model."""
+    """Plain numpy formulas (x, y) -> values that broadcast against (x, y), constants included."""
 
     b: callable
     sigma: callable
@@ -144,8 +146,14 @@ class ModelSpec:
     assumption_constants: dict = field(default_factory=dict)
 
 
+def _evaluate(coef, x, y):
+    """coef(x, y) as a read-only float array of the broadcast shape of (x, y)."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    return np.broadcast_to(np.asarray(coef(x, y), dtype=float), np.broadcast_shapes(x.shape, y.shape))
+
+
 def eval_coefficients(model, x, y):
-    """Evaluate (b, sigma, f, g) at a state, checking the declared domains.
+    """(b, sigma, f, g) at a state as read-only arrays of the broadcast shape of (x, y).
 
     Raises
     ------
@@ -162,7 +170,7 @@ def eval_coefficients(model, x, y):
         bad = yv[~model.fast_domain.contains(yv)].flat[0]
         raise DomainError(f"fast coordinate {bad!r} outside {model.fast_domain.kind} domain")
     c = model.coefficients
-    return c.b(xv, yv), c.sigma(xv, yv), c.f(xv, yv), c.g(xv, yv)
+    return tuple(_evaluate(coef, xv, yv) for coef in (c.b, c.sigma, c.f, c.g))
 
 
 # ---------------------------------------------------------------------------
@@ -173,8 +181,6 @@ def _example21_fast_drift(x, y):
     # f(x, y) = -(x^3 e^{-xy} + (1-x) e^{-y}) / (x^2 e^{-xy} + (1-x) e^{-y})
     # evaluated through shifted exponentials so that neither term can
     # overflow or produce 0/0 anywhere on [0,1] x [0,inf).
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
     with np.errstate(divide="ignore"):
         la = 2.0 * np.log(np.maximum(x, 0.0)) - x * y       # log(x^2 e^{-xy})
         lb = np.log1p(-np.minimum(x, 1.0)) - y              # log((1-x) e^{-y})
@@ -227,10 +233,10 @@ _register(
     ModelSpec(
         name="example21",
         coefficients=CoefficientSet(
-            b=lambda x, y: np.broadcast_arrays(np.asarray(x, float), np.asarray(y, float))[1].copy(),
-            sigma=lambda x, y: np.broadcast_arrays(np.asarray(x, float), np.asarray(y, float))[1].copy(),
+            b=lambda x, y: y,
+            sigma=lambda x, y: y,
             f=_example21_fast_drift,
-            g=lambda x, y: np.full(np.broadcast(np.asarray(x), np.asarray(y)).shape, _SQRT2),
+            g=lambda x, y: _SQRT2,
         ),
         slow_domain=StateDomain(INTERVAL, 0.0, 1.0),
         fast_domain=StateDomain(HALF_LINE, 0.0),
@@ -252,11 +258,10 @@ _register(
     ModelSpec(
         name="ou-coupled",
         coefficients=CoefficientSet(
-            b=lambda x, y: -np.asarray(x, float) + np.sin(np.asarray(y, float)),
-            sigma=lambda x, y: np.sqrt(1.0 + 0.5 * np.cos(np.asarray(y, float)))
-            * np.ones(np.broadcast(np.asarray(x), np.asarray(y)).shape),
-            f=lambda x, y: np.asarray(x, float) - np.asarray(y, float),
-            g=lambda x, y: np.full(np.broadcast(np.asarray(x), np.asarray(y)).shape, _SQRT2),
+            b=lambda x, y: -x + np.sin(y),
+            sigma=lambda x, y: np.sqrt(1.0 + 0.5 * np.cos(y)),
+            f=lambda x, y: x - y,
+            g=lambda x, y: _SQRT2,
         ),
         slow_domain=StateDomain(FULL_LINE),
         fast_domain=StateDomain(FULL_LINE),
@@ -279,11 +284,10 @@ _register(
     ModelSpec(
         name="pure-fast-l2",
         coefficients=CoefficientSet(
-            b=lambda x, y: np.zeros(np.broadcast(np.asarray(x), np.asarray(y)).shape),
-            sigma=lambda x, y: np.broadcast_arrays(np.asarray(x, float), np.asarray(y, float))[1].copy(),
-            f=lambda x, y: -np.asarray(y, float)
-            * np.ones(np.broadcast(np.asarray(x), np.asarray(y)).shape),
-            g=lambda x, y: np.full(np.broadcast(np.asarray(x), np.asarray(y)).shape, _SQRT2),
+            b=lambda x, y: 0.0,
+            sigma=lambda x, y: y,
+            f=lambda x, y: -y,
+            g=lambda x, y: _SQRT2,
         ),
         slow_domain=StateDomain(FULL_LINE),
         fast_domain=StateDomain(FULL_LINE),
@@ -393,6 +397,23 @@ def _sup_with_growth(values, order_by):
     return float(np.max(values)), grows
 
 
+def _bounded_check(name, values, order_by, unbounded):
+    """sup of values; a caveat when it grows toward an unbounded domain edge."""
+    k, grows = _sup_with_growth(values, order_by)
+    if grows and unbounded:
+        return ConditionCheck(name, CAVEAT, k, note="sampled supremum grows with the probed range")
+    return ConditionCheck(name, PASS, k)
+
+
+def _nondegenerate_check(name, squares, xs, ys, note):
+    """inf of squares; a failure with the witness state (x, y) when it is <= _WITNESS_TOL."""
+    i = int(np.argmin(squares))
+    low = float(squares[i])
+    if low <= _WITNESS_TOL:
+        return ConditionCheck(name, FAIL, low, witness=(xs[i], ys[i]), note=note)
+    return ConditionCheck(name, PASS, low)
+
+
 def check_assumptions(model, grid):
     """Evaluate sampled versions of the structural conditions on a tuple grid.
 
@@ -424,11 +445,12 @@ def check_assumptions(model, grid):
     if pts.ndim != 2 or pts.shape[1] != 4:
         raise ConfigError("tuple grid must have shape (n, 4)")
     x1, y1, x2, y2 = pts.T
-    c = model.coefficients
-
-    b1, s1, f1, g1 = eval_coefficients(model, x1, y1)
-    b2, s2, f2, g2 = eval_coefficients(model, x2, y2)
-
+    # both states of every tuple in one sample; row i of the grid is entries i and n + i
+    n = x1.size
+    xs, ys = np.concatenate([x1, x2]), np.concatenate([y1, y2])
+    b, s, f, g = eval_coefficients(model, xs, ys)
+    (b1, b2), (s1, s2), (f1, f2), (g1, g2) = ((v[:n], v[n:]) for v in (b, s, f, g))
+    order = np.abs(xs) + np.abs(ys)
     checks = {}
 
     # slow-lipschitz: |b(p1)-b(p2)|^2 + |sigma(p1)-sigma(p2)|^2
@@ -439,35 +461,16 @@ def check_assumptions(model, grid):
     k1 = float(np.max(num[mask] / den[mask])) if np.any(mask) else 0.0
     checks["slow-lipschitz"] = ConditionCheck("slow-lipschitz", PASS, k1)
 
-    # slow-bounded: sup |b| + |sigma|
-    combined = np.abs(np.concatenate([b1, b2])) + np.abs(np.concatenate([s1, s2]))
-    order = np.concatenate([np.abs(x1) + np.abs(y1), np.abs(x2) + np.abs(y2)])
-    k2, grows = _sup_with_growth(combined, order)
+    # slow-bounded: sup |b| + |sigma|; slow-elliptic: inf sigma sigma^T > 0
     unbounded = model.slow_domain.kind == FULL_LINE or model.fast_domain.kind != INTERVAL
-    if grows and unbounded:
-        checks["slow-bounded"] = ConditionCheck(
-            "slow-bounded", CAVEAT, k2, note="sampled supremum grows with the probed range"
-        )
-    else:
-        checks["slow-bounded"] = ConditionCheck("slow-bounded", PASS, k2)
-
-    # slow-elliptic: inf sigma sigma^T > 0
-    a_all = np.concatenate([s1, s2]) ** 2
-    i = int(np.argmin(a_all))
-    a_min = float(a_all[i])
-    if a_min <= _WITNESS_TOL:
-        w = (x1[i], y1[i]) if i < x1.size else (x2[i - x1.size], y2[i - x1.size])
-        checks["slow-elliptic"] = ConditionCheck(
-            "slow-elliptic", FAIL, a_min, witness=w, note="diffusion matrix degenerate at witness"
-        )
-    else:
-        checks["slow-elliptic"] = ConditionCheck("slow-elliptic", PASS, a_min)
+    checks["slow-bounded"] = _bounded_check("slow-bounded", np.abs(b) + np.abs(s), order, unbounded)
+    checks["slow-elliptic"] = _nondegenerate_check(
+        "slow-elliptic", s**2, xs, ys, "diffusion matrix degenerate at witness"
+    )
 
     # fast-coupled-lipschitz, first family:
     # (f(x1, y) - f(x2, y)) . z <= K3 |x1 - x2| |z| with y = y1, z = y2
-    fa = c.f(x1, y1)
-    fb = c.f(x2, y1)
-    num1 = (fa - fb) * y2
+    num1 = (f1 - eval_coefficients(model, x2, y1)[2]) * y2
     den1 = np.abs(x1 - x2) * np.abs(y2)
     m1 = den1 > 0.0
     r1 = float(np.max(num1[m1] / den1[m1])) if np.any(m1) else 0.0
@@ -479,27 +482,12 @@ def check_assumptions(model, grid):
         "fast-coupled-lipschitz", PASS, max(r1, r2, 0.0)
     )
 
-    # fast-bounded: sup |f| + |g|
-    combined_f = np.abs(np.concatenate([f1, f2])) + np.abs(np.concatenate([g1, g2]))
-    k4, grows_f = _sup_with_growth(combined_f, order)
-    if grows_f and model.fast_domain.kind != INTERVAL:
-        checks["fast-bounded"] = ConditionCheck(
-            "fast-bounded", CAVEAT, k4, note="sampled supremum grows with the probed range"
-        )
-    else:
-        checks["fast-bounded"] = ConditionCheck("fast-bounded", PASS, k4)
-
-    # fast-nondegenerate: inf g g^T > 0
-    gg = np.concatenate([g1, g2]) ** 2
-    j = int(np.argmin(gg))
-    g_min = float(gg[j])
-    if g_min <= _WITNESS_TOL:
-        w = (x1[j], y1[j]) if j < x1.size else (x2[j - x1.size], y2[j - x1.size])
-        checks["fast-nondegenerate"] = ConditionCheck(
-            "fast-nondegenerate", FAIL, g_min, witness=w, note="fast diffusion degenerate at witness"
-        )
-    else:
-        checks["fast-nondegenerate"] = ConditionCheck("fast-nondegenerate", PASS, g_min)
+    # fast-bounded: sup |f| + |g|; fast-nondegenerate: inf g g^T > 0
+    unbounded = model.fast_domain.kind != INTERVAL
+    checks["fast-bounded"] = _bounded_check("fast-bounded", np.abs(f) + np.abs(g), order, unbounded)
+    checks["fast-nondegenerate"] = _nondegenerate_check(
+        "fast-nondegenerate", g**2, xs, ys, "fast diffusion degenerate at witness"
+    )
 
     return AssumptionReport(model=model.name, n_samples=pts.shape[0], checks=checks)
 

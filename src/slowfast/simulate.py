@@ -22,7 +22,8 @@ makes pathwise comparisons of the two equations meaningful.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -34,6 +35,8 @@ EQ_FAST = 1
 EQ_AVG = 2
 
 _STORE_MODES = ("terminal", "full", "strided")
+# SimConfig fields by their annotation (a string under postponed evaluation)
+_NUMBER_KINDS = {"int": numbers.Integral, "float": numbers.Real}
 
 # dt may not exceed this multiple of epsilon in coupled runs; larger ratios
 # mean the caller is silently under-resolving the fast equation.
@@ -61,7 +64,7 @@ class SimConfig:
     n_paths : int
         Ensemble size.
     seed : int
-        Root of every stream key.
+        Root of every stream key; nonnegative.
     store : str
         ``terminal`` keeps only t = T, ``full`` keeps every slow step,
         ``strided`` keeps every ``stride``-th slow step plus the endpoint.
@@ -88,6 +91,13 @@ class SimConfig:
     chunk_size: int = 1024
 
     def __post_init__(self):
+        for f in fields(self):
+            v, kind = getattr(self, f.name), _NUMBER_KINDS.get(f.type)
+            if kind and (isinstance(v, bool) or not isinstance(v, kind) or not abs(v) < np.inf):
+                word = "an integer" if f.type == "int" else "a finite real number"
+                raise ConfigError(f"{f.name} must be {word}, got {v!r}")
+        if self.seed < 0:
+            raise ConfigError("seed must be nonnegative")
         if self.epsilon <= 0.0:
             raise ConfigError("epsilon must be positive")
         if self.dt <= 0.0:

@@ -15,8 +15,8 @@ grid, and estimates the same measure empirically from long trajectories.
 
 Here and in ``ergodicity`` the coefficients are read through one helper,
 ``_frozen_axis``, which supplies 2 f / g^2 and log g^2 (the log shape is
-phi - log g^2) and alone rejects a slow state outside the slow domain and
-a diffusion with g^2 <= 1e-24.
+phi - log g^2) broadcast over the fast states, and alone rejects a slow
+state outside the slow domain and a diffusion with g^2 <= 1e-24.
 
 Grid construction
 -----------------
@@ -44,7 +44,7 @@ from .errors import (
     NotPositiveRecurrentError,
     SlowfastError,
 )
-from .models import INTERVAL, ModelSpec
+from .models import INTERVAL, ModelSpec, _evaluate
 from .numerics import (
     cumulative_gauss,
     curvature_weight,
@@ -130,8 +130,9 @@ def _frozen_axis(model, x):
 
     ``ratio(y) = 2 f / g^2`` integrates to the potential Phi_x, and
     ``log_gsq(y) = log g^2``, so the log of the unnormalized invariant shape
-    is ``phi - log_gsq(y)``. ``log_gsq`` raises DegenerateDiffusionError
-    where g^2 <= 1e-24. Raises ConfigError when x leaves the slow domain.
+    is ``phi - log_gsq(y)``; both broadcast a constant f or g to the shape of
+    ``ys``. ``log_gsq`` raises DegenerateDiffusionError where g^2 <= 1e-24.
+    Raises ConfigError when x leaves the slow domain.
     """
     xval = float(x)
     if not model.slow_domain.contains(xval):
@@ -139,11 +140,11 @@ def _frozen_axis(model, x):
     c = model.coefficients
 
     def ratio(ys):
-        g = c.g(xval, ys)
-        return 2.0 * c.f(xval, ys) / (g * g)
+        g = _evaluate(c.g, xval, ys)
+        return 2.0 * _evaluate(c.f, xval, ys) / (g * g)
 
     def log_gsq(ys):
-        g = c.g(xval, ys)
+        g = _evaluate(c.g, xval, ys)
         gg = g * g
         if np.any(gg <= 1e-24):
             raise DegenerateDiffusionError(

@@ -20,14 +20,14 @@ from slowfast.models import FULL_LINE, StateDomain
 
 def ou_like(b, sigma=None, name="adhoc-ou"):
     if sigma is None:
-        sigma = lambda x, y: np.ones(np.broadcast(np.asarray(x), np.asarray(y)).shape)
+        sigma = lambda x, y: 1.0
     return ModelSpec(
         name=name,
         coefficients=CoefficientSet(
             b=b,
             sigma=sigma,
-            f=lambda x, y: np.asarray(x, float) - np.asarray(y, float),
-            g=lambda x, y: np.full(np.broadcast(np.asarray(x), np.asarray(y)).shape, np.sqrt(2.0)),
+            f=lambda x, y: x - y,
+            g=lambda x, y: np.sqrt(2.0),
         ),
         slow_domain=StateDomain(FULL_LINE),
         fast_domain=StateDomain(FULL_LINE),
@@ -128,7 +128,7 @@ def test_holder_fit_example21_w1_is_not_holder_at_the_wall(example21):
 
 def test_averaged_drift_requires_integrable_integrand():
     grower = ou_like(
-        b=lambda x, y: np.exp(np.minimum(np.asarray(y, float) ** 2 / 2.0, 700.0)),
+        b=lambda x, y: np.exp(np.minimum(y ** 2 / 2.0, 700.0)),
         name="first-moment-diverges",
     )
     with pytest.raises(InfiniteMomentError):
@@ -137,8 +137,8 @@ def test_averaged_drift_requires_integrable_integrand():
 
 def test_vanishing_dispersion_rejected():
     flat = ou_like(
-        b=lambda x, y: np.zeros(np.broadcast(np.asarray(x), np.asarray(y)).shape),
-        sigma=lambda x, y: np.zeros(np.broadcast(np.asarray(x), np.asarray(y)).shape),
+        b=lambda x, y: 0.0,
+        sigma=lambda x, y: 0.0,
         name="zero-sigma",
     )
     with pytest.raises(DegenerateDiffusionError):
@@ -147,7 +147,7 @@ def test_vanishing_dispersion_rejected():
 
 def test_build_failure_names_the_node():
     grower = ou_like(
-        b=lambda x, y: np.exp(np.minimum(np.asarray(y, float) ** 2 / 2.0, 700.0)),
+        b=lambda x, y: np.exp(np.minimum(y ** 2 / 2.0, 700.0)),
         name="first-moment-diverges",
     )
     with pytest.raises(InfiniteMomentError, match="node x="):

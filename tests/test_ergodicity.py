@@ -21,12 +21,12 @@ from conftest import gaussian_pdf
 
 def line_model(f, name, g=None):
     if g is None:
-        g = lambda x, y: np.full(np.broadcast(np.asarray(x), np.asarray(y)).shape, np.sqrt(2.0))
+        g = lambda x, y: np.sqrt(2.0)
     return ModelSpec(
         name=name,
         coefficients=CoefficientSet(
-            b=lambda x, y: np.zeros(np.broadcast(np.asarray(x), np.asarray(y)).shape),
-            sigma=lambda x, y: np.ones(np.broadcast(np.asarray(x), np.asarray(y)).shape),
+            b=lambda x, y: 0.0,
+            sigma=lambda x, y: 1.0,
             f=f,
             g=g,
         ),
@@ -49,13 +49,13 @@ def test_classify_ou(ou):
 
 
 def test_classify_cubic_restoring_is_strongly_ergodic():
-    cubic = line_model(lambda x, y: -np.asarray(y, float) ** 3, "cubic-restoring")
+    cubic = line_model(lambda x, y: -y ** 3, "cubic-restoring")
     report = classify(cubic, 0.0)
     assert (report.ergodic, report.exp_ergodic, report.strongly_ergodic) == (True, True, True)
 
 
 def test_classify_repelling_fails_everything():
-    repelling = line_model(lambda x, y: np.asarray(y, float), "repelling")
+    repelling = line_model(lambda x, y: y, "repelling")
     report = classify(repelling, 0.0)
     assert (report.ergodic, report.exp_ergodic, report.strongly_ergodic) == (
         False,
@@ -74,7 +74,7 @@ def test_classify_records_criterion_integrals(example21):
 
 def test_classify_raises_where_the_fast_diffusion_vanishes():
     # g = tanh y vanishes at the anchor y = 0; classify raises like the density does
-    vanishing = line_model(lambda x, y: -np.asarray(y, float), "vanishing-g", g=lambda x, y: np.tanh(y))
+    vanishing = line_model(lambda x, y: -y, "vanishing-g", g=lambda x, y: np.tanh(y))
     for solve in (stationary_density, classify):
         with pytest.raises(DegenerateDiffusionError):
             solve(vanishing, 0.5)
@@ -116,7 +116,7 @@ def test_flux_operator_keeps_the_ito_form():
     ids=["forward_pde_solve", "tv_decay_curve"],
 )
 def test_pde_rejects_diffusion_vanishing_on_an_explicit_grid(solve):
-    vanishing = line_model(lambda x, y: -np.asarray(y, float), "vanishing-g", g=lambda x, y: np.tanh(y))
+    vanishing = line_model(lambda x, y: -y, "vanishing-g", g=lambda x, y: np.tanh(y))
     grid = np.linspace(-4.0, 4.0, 81)  # holds the node y = 0 where g = 0
     with pytest.raises(DegenerateDiffusionError):
         solve(vanishing, grid)
@@ -125,7 +125,7 @@ def test_pde_rejects_diffusion_vanishing_on_an_explicit_grid(solve):
 def test_heat_kernel():
     # f = 0 with g = sqrt(2) is the plain heat equation; compare the
     # forward solution against the exact Gaussian at t = 1/2 (variance 1)
-    heat = line_model(lambda x, y: np.zeros(np.broadcast(np.asarray(x), np.asarray(y)).shape), "heat")
+    heat = line_model(lambda x, y: 0.0, "heat")
     grid = np.linspace(-12.0, 12.0, 4097)
     rho = forward_pde_solve(heat, 0.0, 0.0, 0.5, grid=grid)
     err = np.trapezoid(np.abs(rho.values - gaussian_pdf(grid, 0.0)), grid)

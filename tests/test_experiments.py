@@ -13,6 +13,7 @@ import pytest
 
 from slowfast.errors import ConfigError
 from slowfast.experiments import (
+    MAX_X_GRID_NODES,
     _parse_pairs,
     _parse_x_grid,
     _validate_epsilons,
@@ -45,6 +46,20 @@ def test_x_grid_parsing():
     for bad in ("0:1", "1:0:0.1", "0:1:0.3", "0:1:-0.5"):
         with pytest.raises(ConfigError):
             _parse_x_grid(bad)
+
+
+def test_x_grid_node_count_is_capped():
+    assert _parse_x_grid(f"0:{MAX_X_GRID_NODES - 1}:1").size == MAX_X_GRID_NODES
+    with pytest.raises(ConfigError, match="nodes"):
+        _parse_x_grid(f"0:{MAX_X_GRID_NODES}:1")
+
+
+@pytest.mark.parametrize("grid", ["0:1e300:1e-300", "-1e308:1e308:1e308", "0:1:1e-300", "0:1:1e-12"])
+def test_cli_x_grid_with_too_many_nodes_exits_3(capsys, grid):
+    # each count overflows or would allocate far beyond memory; none may be built
+    assert cli_main(["averaged", "--model", "ou-coupled", f"--x-grid={grid}"]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError" and str(MAX_X_GRID_NODES) in err["message"]
 
 
 def test_pair_parsing():
@@ -88,7 +103,7 @@ def test_convergence_rejects_degenerate_model(ou):
         name="flat-sigma",
         coefficients=replace(
             ou.coefficients,
-            sigma=lambda x, y: np.zeros(np.broadcast(np.asarray(x), np.asarray(y)).shape),
+            sigma=lambda x, y: 0.0,
         ),
         analytic=None,
     )
@@ -288,6 +303,37 @@ def test_cli_decay_coupling_config_holds_only_n_paths(tmp_path, capsys):
     cfg.write_text(json.dumps({"n_paths": 8}))
     assert cli_main([*argv, "--config", str(cfg)]) == 0
     capsys.readouterr()
+
+
+_COUPLING = ["decay", "--model", "ou-coupled", "--mode", "coupling", "--x", "0.0",
+             "--y0", "1.0", "--y-other", "0.0", "--times", "0.5,1.0"]
+
+
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (["converge", "--model", "ou-coupled", "--seed", "-1"], None),
+        (["l2fail", "--seed", "-1"], None),
+        ([*_COUPLING, "--seed", "-3"], None),
+        (["converge", "--model", "ou-coupled"], {"n_paths": "abc"}),
+        (["l2fail"], {"dt": None}),
+        (["converge", "--model", "ou-coupled"], {"n_paths": 2.5}),
+        (_COUPLING, {"n_paths": "abc"}),
+        (["l2fail"], {"epsilon": "0.1"}),
+        (["l2fail"], {"stride": True}),
+    ],
+    ids=["converge-seed", "l2fail-seed", "coupling-seed", "n_paths-str", "dt-null", "n_paths-float",
+         "coupling-n_paths-str", "epsilon-str", "stride-bool"],
+)
+def test_cli_bad_seed_or_config_value_exits_3(tmp_path, capsys, argv, config):
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv = [*argv, "--config", str(cfg)]
+    assert cli_main(argv) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    assert ("seed" if config is None else next(iter(config))) in err["message"]
 
 
 @pytest.mark.parametrize("content", [None, '{"n_paths": 8'])

@@ -1,18 +1,29 @@
+import json
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from slowfast import (
+    CoefficientSet,
     DomainError,
     ModelSpec,
+    SimConfig,
     UnknownModelError,
+    build_averaged_model,
     check_assumptions,
+    classify,
     eval_coefficients,
+    forward_pde_solve,
     get_builtin,
     list_builtin_models,
     sample_tuple_grid,
+    simulate_coupled,
+    simulate_frozen,
+    stationary_density,
 )
-from slowfast.models import CAVEAT, FAIL, PASS, StateDomain
+from slowfast.models import CAVEAT, FAIL, FULL_LINE, PASS, StateDomain
 
 
 def test_registry_names():
@@ -131,3 +142,44 @@ def test_assumptions_example21(example21):
     assert report["slow-elliptic"].status == PASS
     assert report["fast-nondegenerate"].status == PASS
     assert report["fast-nondegenerate"].estimated_constant == pytest.approx(2.0)
+
+
+def _constant_twin(constant):
+    """OU-type model whose b, sigma and g are the constants 0.5, 1.5, sqrt(2), each made by ``constant``."""
+    return ModelSpec(
+        name="constant-twin",
+        coefficients=CoefficientSet(
+            b=constant(0.5), sigma=constant(1.5), f=lambda x, y: x - y, g=constant(math.sqrt(2.0))
+        ),
+        slow_domain=StateDomain(FULL_LINE),
+        fast_domain=StateDomain(FULL_LINE),
+    )
+
+
+_TWIN_CONFIG = SimConfig(epsilon=0.1, dt=0.01, horizon=0.1, n_paths=8, seed=3, x0=0.3, y0=1.0, store="full")
+
+
+@pytest.mark.parametrize(
+    "consume",
+    [
+        lambda m: stationary_density(m, 0.3).values,
+        lambda m: classify(m, 0.3).as_dict(),
+        lambda m: forward_pde_solve(m, 0.3, 1.0, 0.5).values,
+        lambda m: (lambda avg: (avg.b_bar, avg.a_bar))(build_averaged_model(m, np.linspace(-1.0, 1.0, 5))),
+        lambda m: check_assumptions(m, sample_tuple_grid(m, 64, seed=1)).as_dict(),
+        lambda m: (lambda ens: (ens.slow, ens.fast))(simulate_coupled(m, _TWIN_CONFIG)),
+        lambda m: simulate_frozen(m, 0.3, _TWIN_CONFIG).fast,
+    ],
+    ids=["stationary_density", "classify", "forward_pde_solve", "build_averaged_model",
+         "check_assumptions", "simulate_coupled", "simulate_frozen"],
+)
+def test_float_constants_give_the_bits_of_constant_arrays(consume):
+    # a coefficient may return a Python float; every consumer must treat it
+    # exactly like an array holding that value at every state
+    floats = _constant_twin(lambda c: lambda x, y: c)
+    arrays = _constant_twin(lambda c: lambda x, y: np.full_like(x + y, c))
+
+    def bits(model):
+        return json.dumps(consume(model), default=lambda a: np.asarray(a).tolist())
+
+    assert bits(floats) == bits(arrays)

@@ -35,10 +35,10 @@ def cubic_blowup_model():
     return ModelSpec(
         name="cubic-blowup",
         coefficients=CoefficientSet(
-            b=lambda x, y: np.asarray(x, float) ** 3,
-            sigma=lambda x, y: np.ones(np.broadcast(np.asarray(x), np.asarray(y)).shape),
-            f=lambda x, y: -np.asarray(y, float),
-            g=lambda x, y: np.full(np.broadcast(np.asarray(x), np.asarray(y)).shape, np.sqrt(2.0)),
+            b=lambda x, y: x ** 3,
+            sigma=lambda x, y: 1.0,
+            f=lambda x, y: -y,
+            g=lambda x, y: np.sqrt(2.0),
         ),
         slow_domain=StateDomain(FULL_LINE),
         fast_domain=StateDomain(FULL_LINE),
@@ -154,7 +154,7 @@ def cubic_fast_model():
     # the frozen fast drift y^3 explodes in finite time, first on the paths
     # whose noise pushes y away from zero
     base = cubic_blowup_model()
-    cubic = replace(base.coefficients, f=lambda x, y: np.asarray(y, float) ** 3)
+    cubic = replace(base.coefficients, f=lambda x, y: y ** 3)
     return replace(base, name="cubic-fast", coefficients=cubic)
 
 

@@ -26,10 +26,10 @@ def line_model(f, name="adhoc"):
     return ModelSpec(
         name=name,
         coefficients=CoefficientSet(
-            b=lambda x, y: np.zeros(np.broadcast(np.asarray(x), np.asarray(y)).shape),
-            sigma=lambda x, y: np.ones(np.broadcast(np.asarray(x), np.asarray(y)).shape),
+            b=lambda x, y: 0.0,
+            sigma=lambda x, y: 1.0,
             f=f,
-            g=lambda x, y: np.full(np.broadcast(np.asarray(x), np.asarray(y)).shape, np.sqrt(2.0)),
+            g=lambda x, y: np.sqrt(2.0),
         ),
         slow_domain=StateDomain(FULL_LINE),
         fast_domain=StateDomain(FULL_LINE),
@@ -82,7 +82,7 @@ def test_moment_on_samples():
 
 
 def test_repelling_drift_raises():
-    repelling = line_model(lambda x, y: np.asarray(y, float), name="repelling")
+    repelling = line_model(lambda x, y: y, name="repelling")
     with pytest.raises(NotPositiveRecurrentError):
         stationary_density(repelling, 0.0)
 
@@ -91,7 +91,7 @@ def test_logarithmic_divergence_raises():
     # f = -y / (1 + y^2) gives density ~ (1 + y^2)^{-1/2}: infinite mass,
     # but so slowly that only the late raw-mass plateau can reveal it
     slow_tails = line_model(
-        lambda x, y: -np.asarray(y, float) / (1.0 + np.asarray(y, float) ** 2),
+        lambda x, y: -y / (1.0 + y ** 2),
         name="log-divergent",
     )
     with pytest.raises(NotPositiveRecurrentError):
