@@ -74,6 +74,7 @@ from .simulate import (
     simulate_averaged,
     simulate_coupled,
     simulate_frozen,
+    simulate_paired,
 )
 from .stationary import (
     Density1D,

@@ -17,8 +17,9 @@ Two headline studies plus plumbing:
 Every public runner embeds its full parameter set in the report, and the
 CLI writes a run manifest next to each artifact so any result can be
 reproduced bit for bit (random streams are keyed per path). The runners
-and the CLI still accept a worker count, which the manifest records, but
-every run is serial and the count has no effect.
+and the CLI take a worker count, which the manifest records: the
+simulators integrate whole path chunks in that many forked processes, and
+every number is the same at any count.
 
 Each subcommand handler only computes: it returns the report payload, the
 manifest parameters, and either None (the csv form is the payload's
@@ -50,7 +51,7 @@ from .models import (
     list_builtin_models,
     sample_tuple_grid,
 )
-from .simulate import _STIFFNESS_GUARD, SimConfig, simulate_averaged, simulate_coupled
+from .simulate import _STIFFNESS_GUARD, SimConfig, _check_workers, simulate_averaged, simulate_coupled, simulate_paired
 from .stationary import EmpiricalMeasure, stationary_density
 
 ARTIFACT_VERSION = "1"
@@ -146,8 +147,10 @@ def run_averaging_convergence(
 
     ``epsilon = inf`` is accepted as a surrogate that freezes the fast
     state at y0, giving the O(1) un-averaged gap the ladder descends from.
-    ``workers`` is accepted for older callers and has no effect.
+    Every simulation runs its path chunks in up to ``workers`` forked
+    processes; the report does not depend on the count.
     """
+    _check_workers(workers)
     eps = _validate_epsilons(epsilons)
     report = check_assumptions(model, sample_tuple_grid(model, 256, seed=config.seed))
     for name in _REQUIRED_CHECKS:
@@ -171,20 +174,20 @@ def run_averaging_convergence(
     for e in eps:
         if e == np.inf:
             cfg = replace(config, epsilon=1.0)
-            coupled = simulate_coupled(_frozen_coupling_surrogate(model), cfg)
+            coupled = simulate_coupled(_frozen_coupling_surrogate(model), cfg, workers=workers)
         else:
             cfg = _config_for_epsilon(config, e)
             finest = cfg
-            coupled = simulate_coupled(model, cfg)
-        averaged = simulate_averaged(avg, cfg, variant=0)
+            coupled = simulate_coupled(model, cfg, workers=workers)
+        averaged = simulate_averaged(avg, cfg, variant=0, workers=workers)
         xc, xa = coupled.terminal_slow(), averaged.terminal_slow()
         w1_terminal.append(_w1_samples(xc, xa))
         if gaps is not None:
             for name, phi in _FUNCTIONALS.items():
                 gaps[name].append(float(abs(np.mean(phi(xc)) - np.mean(phi(xa)))))
     cfg = finest if finest is not None else replace(config, epsilon=1.0)
-    floor_a = simulate_averaged(avg, cfg, variant=1)
-    floor_b = simulate_averaged(avg, cfg, variant=2)
+    floor_a = simulate_averaged(avg, cfg, variant=1, workers=workers)
+    floor_b = simulate_averaged(avg, cfg, variant=2, workers=workers)
     noise_floor = _w1_samples(floor_a.terminal_slow(), floor_b.terminal_slow())
     return ConvergenceReport(
         model=model.name,
@@ -226,14 +229,16 @@ class L2Report:
 def run_l2_failure(config: SimConfig, epsilons, workers=1) -> L2Report:
     """Mean-square gap between coupled and averaged runs on the same noise.
 
-    Uses the built-in pure-fast-l2 model. The averaged run replays the
-    coupled run's slow Brownian increments (paired streams), so the gap
-    is the pathwise one the ergodic limit predicts:
-    T times the invariant mean of (sigma(y) - sigmabar)^2. Terminal W1
-    against an independent averaged ensemble is reported alongside: the
-    laws merge while the paths refuse to. ``workers`` is accepted for
-    older callers and has no effect.
+    Uses the built-in pure-fast-l2 model. The averaged path is stepped in
+    the coupled loop on the coupled run's own slow Brownian increments
+    (``simulate_paired``), so the gap is the pathwise one the ergodic limit
+    predicts: T times the invariant mean of (sigma(y) - sigmabar)^2.
+    Terminal W1 against an independent averaged ensemble is reported
+    alongside: the laws merge while the paths refuse to. Every simulation
+    runs its path chunks in up to ``workers`` forked processes; the report
+    does not depend on the count.
     """
+    _check_workers(workers)
     eps = _validate_epsilons(epsilons)
     if any(e == np.inf for e in eps):
         raise ConfigError("the mean-square study needs finite epsilons")
@@ -255,14 +260,13 @@ def run_l2_failure(config: SimConfig, epsilons, workers=1) -> L2Report:
     gap, w1s = [], []
     for e in eps:
         cfg = _config_for_epsilon(config, e)
-        coupled = simulate_coupled(model, cfg)
-        paired = simulate_averaged(avg, cfg, paired=True)
+        coupled, paired = simulate_paired(model, avg, cfg, workers=workers)
         xc, xp = coupled.terminal_slow(), paired.terminal_slow()
         gap.append(float(np.mean((xc - xp) ** 2)))
-        independent = simulate_averaged(avg, cfg, variant=1)
+        independent = simulate_averaged(avg, cfg, variant=1, workers=workers)
         w1s.append(_w1_samples(xc, independent.terminal_slow()))
     # the last rung's independent run (variant 1) is one half of the noise floor
-    floor = simulate_averaged(avg, cfg, variant=2)
+    floor = simulate_averaged(avg, cfg, variant=2, workers=workers)
     noise_floor = _w1_samples(independent.terminal_slow(), floor.terminal_slow())
     rel = [abs(g - predicted) / predicted for g in gap] if predicted > 0 else [np.inf] * len(gap)
     return L2Report(
@@ -353,6 +357,13 @@ def _parse_x_grid(text):
     if abs(start + n * step - stop) > 1e-9 * max(1.0, abs(stop)):
         raise ConfigError("--x-grid step must divide the range")
     return np.linspace(start, stop, n + 1)
+
+
+def _parse_workers(text):
+    try:
+        return _check_workers(int(text))
+    except ValueError:
+        raise ConfigError(f"--workers expects a positive integer, got {text!r}") from None
 
 
 def _parse_pairs(text):
@@ -464,7 +475,8 @@ def _cmd_converge(args, model):
     if anchor is None:
         raise ConfigError("the epsilon ladder needs at least one finite value")
     config = _load_sim_config(args, anchor)
-    report = run_averaging_convergence(model, eps, config, functionals=args.functionals)
+    report = run_averaging_convergence(model, eps, config, functionals=args.functionals,
+                                       workers=args.workers)
     params = {"epsilons": args.epsilons, "functionals": bool(args.functionals),
               "sim_config": asdict(config)}
     return report.as_dict(), params, None
@@ -475,7 +487,7 @@ def _cmd_l2fail(args, model):
         raise ConfigError("the mean-square study runs on the pure-fast-l2 model only")
     eps = _parse_floats(args.epsilons, "--epsilons")
     config = _load_sim_config(args, eps[0])
-    report = run_l2_failure(config, eps)
+    report = run_l2_failure(config, eps, workers=args.workers)
     params = {"epsilons": args.epsilons, "sim_config": asdict(config)}
     return report.as_dict(), params, None
 
@@ -529,8 +541,9 @@ def _build_parser():
         sp.add_argument("--out", default=None,
                         help="artifact path; a .manifest.json is written beside it")
         sp.add_argument("--format", choices=("json", "csv"), default="json")
-        sp.add_argument("--workers", type=int, default=1,
-                        help="recorded in the manifest; has no effect")
+        sp.add_argument("--workers", default=1,
+                        help="processes over path chunks for converge and l2fail, at most one "
+                             "per chunk and usable core (default 1); results do not depend on it")
         if config_help is not None:
             sp.add_argument("--config", default=None, help=config_help)
 
@@ -601,6 +614,7 @@ def cli_main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        args.workers = _parse_workers(args.workers)
         # l2fail validates its optional --model itself; list-models has none
         model = None if args.command in ("list-models", "l2fail") else get_builtin(args.model)
         payload, params, csv = _HANDLERS[args.command](args, model)
@@ -637,8 +651,9 @@ def rerun_from_manifest(manifest_path, out=None, workers=None) -> int:
     """Re-run a CLI invocation from its manifest, optionally redirected.
 
     The manifest stores the exact argv; ``out`` and ``workers`` override
-    the corresponding flags so a rerun can write elsewhere. ``--workers``
-    is only recorded, so manifests that set it replay unchanged.
+    the corresponding flags so a rerun can write elsewhere. No result
+    depends on ``--workers``, so a manifest replays to the same artifact
+    at any worker count.
     """
     with open(manifest_path) as fh:
         manifest = json.load(fh)

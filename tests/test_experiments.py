@@ -3,9 +3,11 @@
 import ast
 import io
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -411,6 +413,70 @@ def test_rerun_from_manifest_is_bit_identical(tmp_path):
     manifest = json.loads((tmp_path / "conv-rerun.json.manifest.json").read_text())
     assert str(second) in manifest["params"]["argv"]
     assert manifest["params"]["workers"] == 3
+
+
+@pytest.mark.parametrize("command", ["l2fail", "converge"])
+def test_cli_artifacts_do_not_depend_on_workers(tmp_path, command):
+    # 40 paths in chunks of 16: the pool runs three chunks, the last one short
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n_paths": 40, "chunk_size": 16, "horizon": 0.2, "dt": 0.01, "x0": 0.0, "y0": 0.0}))
+    model = [] if command == "l2fail" else ["--model", "ou-coupled"]
+    artifacts, manifests = [], []
+    for workers in (1, 2, 3):
+        out = tmp_path / f"{command}-{workers}.json"
+        argv = [command, *model, "--epsilons", "0.5,0.25", "--config", str(cfg), "--seed", "4",
+                "--out", str(out), "--workers", str(workers)]
+        assert cli_main(argv) == 0
+        assert multiprocessing.active_children() == []
+        artifacts.append(out.read_bytes())
+        manifest = json.loads((tmp_path / f"{out.name}.manifest.json").read_text())
+        assert manifest["params"]["workers"] == workers
+        manifest["params"].pop("workers")
+        manifest["params"].pop("argv")
+        manifests.append(manifest)
+    assert artifacts == [artifacts[0]] * 3
+    assert manifests == [manifests[0]] * 3
+
+
+@pytest.mark.parametrize("workers", ["0", "-1", "1.5", "two"])
+@pytest.mark.parametrize("command", [["l2fail"], ["stationary", "--model", "ou-coupled", "--x", "0"]],
+                         ids=["l2fail", "stationary"])
+def test_cli_bad_worker_count_exits_3(capsys, command, workers):
+    assert cli_main([*command, f"--workers={workers}"]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    assert "workers" in err["message"]
+
+
+def test_library_runners_reject_a_bad_worker_count(ou):
+    cfg = SimConfig(epsilon=0.5, dt=0.01, horizon=0.1, n_paths=8, seed=0)
+    with pytest.raises(ConfigError, match="workers"):
+        run_averaging_convergence(ou, [0.5], cfg, workers=0)
+    with pytest.raises(ConfigError, match="workers"):
+        run_l2_failure(cfg, [0.5], workers=1.5)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+def test_cli_l2fail_blowup_diagnostic_does_not_depend_on_workers(tmp_path, capsys, monkeypatch):
+    # pure-fast-l2 with the slow drift x^3: on this config paths 0-7 survive and
+    # path 12, in the second chunk, is the first to blow up
+    import slowfast.experiments as experiments
+
+    base = experiments.get_builtin("pure-fast-l2")
+    cubic = replace(base, coefficients=replace(base.coefficients, b=lambda x, y: x ** 3),
+                    analytic=replace(base.analytic, averaged_drift=lambda x: np.asarray(x, float) ** 3))
+    monkeypatch.setattr(experiments, "get_builtin", lambda name: cubic)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n_paths": 24, "chunk_size": 8, "horizon": 1.0, "dt": 0.01, "x0": 0.0, "y0": 0.0}))
+    diagnostics = []
+    for workers in (1, 2, 3):
+        argv = ["l2fail", "--epsilons", "0.1", "--config", str(cfg), "--seed", "5", "--workers", str(workers)]
+        assert cli_main(argv) == 3
+        diagnostics.append(capsys.readouterr().err)
+        assert multiprocessing.active_children() == []
+    assert json.loads(diagnostics[0])["error"] == "BlowUpError"
+    assert json.loads(diagnostics[0])["path_index"] == 12
+    assert diagnostics == [diagnostics[0]] * 3
 
 
 def _renders_or_touches_files(node):

@@ -1,3 +1,6 @@
+import multiprocessing
+import os
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -9,14 +12,17 @@ from slowfast import (
     BlowUpError,
     CoefficientSet,
     ConfigError,
+    Ensemble,
     ModelSpec,
     SimConfig,
+    build_averaged_model,
     simulate_averaged,
     simulate_coupled,
     simulate_frozen,
+    simulate_paired,
 )
 from slowfast.models import FULL_LINE, StateDomain
-from slowfast.simulate import EQ_FAST, EQ_SLOW, path_stream
+from slowfast.simulate import EQ_FAST, EQ_SLOW, _draw_rows, _pool_size, frozen_pair_gap, path_stream
 
 
 def flat_brownian(span=200.0):
@@ -74,25 +80,100 @@ def test_chunking_does_not_change_results(ou):
     np.testing.assert_array_equal(base.slow, rechunk.slow)
 
 
-def test_paired_averaged_replays_the_coupled_slow_noise(pure_fast):
-    # with sigma == sigmabar == 1 the paired averaged path and the coupled
-    # slow path see the same Brownian sum, so terminals agree to roundoff;
-    # use the averaged model of the pure-fast system (bbar=0, abar=1)
-    cfg = SimConfig(epsilon=0.05, dt=0.005, horizon=0.25, n_paths=16, seed=3, x0=0.0, y0=0.0)
-    flat = flat_brownian()
-    paired = simulate_averaged(flat, cfg, paired=True)
-    coupled = simulate_coupled(pure_fast, cfg)
-    # pure-fast slow noise is y dW; compare against replaying the same rows
-    assert paired.n_paths == coupled.n_paths
-    # replaying with the same config twice is bit-identical
-    again = simulate_averaged(flat, cfg, paired=True)
-    np.testing.assert_array_equal(paired.slow, again.slow)
+def _paired_oracle(avg, config):
+    """Reference paired path: re-draw the coupled run's slow noise, sum it over
+    each dt block, and step the averaged equation on the sums."""
+    n_slow = config.n_slow_steps()
+    n_sub = max(1, int(np.ceil(config.dt / (config.epsilon * config.fast_substep) - 1e-12)))
+    raw = _draw_rows(config.seed, 0, config.n_paths, EQ_SLOW, 0, n_slow * n_sub)
+    dw = np.sqrt(config.dt / n_sub) * raw.reshape(config.n_paths, n_slow, n_sub).sum(axis=2)
+    x = np.full(config.n_paths, float(config.x0))
+    path = [x]
+    for j in range(n_slow):
+        x = avg.slow_domain.reflect(x + avg.drift(x) * config.dt + avg.sigma(x) * dw[:, j])
+        path.append(x)
+    return np.stack(path, axis=1)
 
 
-def test_paired_with_variant_rejected():
+def test_paired_averaged_replays_the_coupled_slow_noise(pure_fast, ou):
+    cfg = SimConfig(epsilon=0.05, dt=0.005, horizon=0.25, n_paths=16, seed=3, x0=0.5, y0=0.0,
+                    store="full", chunk_size=6)
+    # on a model with a non-trivial averaged equation the one-loop paired path
+    # is the oracle's bit for bit, and its coupled half is simulate_coupled's
+    avg = build_averaged_model(ou, np.linspace(-10.0, 11.0, 257))
+    coupled, paired = simulate_paired(ou, avg, cfg)
+    np.testing.assert_array_equal(paired.slow, _paired_oracle(avg, cfg))
+    alone = simulate_coupled(ou, cfg)
+    np.testing.assert_array_equal(coupled.slow, alone.slow)
+    np.testing.assert_array_equal(coupled.fast, alone.fast)
+    assert paired.fast is None
+    # with sigma == sigmabar == 1 and zero drifts both slow paths are x0 plus
+    # the same Brownian sum, so they agree to roundoff
+    unit = replace(pure_fast, name="unit-slow-noise",
+                   coefficients=replace(pure_fast.coefficients, sigma=lambda x, y: 1.0))
+    coupled, paired = simulate_paired(unit, flat_brownian(), cfg)
+    np.testing.assert_allclose(paired.terminal_slow(), coupled.terminal_slow(), rtol=0.0, atol=1e-12)
+    np.testing.assert_array_equal(paired.slow, _paired_oracle(flat_brownian(), cfg))
+
+
+_WORKER_CONFIG = SimConfig(epsilon=0.1, dt=0.01, horizon=0.2, n_paths=37, seed=9, x0=0.5, y0=1.0,
+                           chunk_size=8, store="strided", stride=3)
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda m, avg, w: simulate_coupled(m, _WORKER_CONFIG, workers=w),
+        lambda m, avg, w: simulate_frozen(m, 0.3, _WORKER_CONFIG, workers=w),
+        lambda m, avg, w: frozen_pair_gap(m, 0.3, _WORKER_CONFIG, 2.5, workers=w),
+        lambda m, avg, w: simulate_averaged(avg, _WORKER_CONFIG, variant=1, workers=w),
+        lambda m, avg, w: simulate_paired(m, avg, _WORKER_CONFIG, workers=w),
+    ],
+    ids=["coupled", "frozen", "pair-gap", "averaged", "paired"],
+)
+def test_ensembles_do_not_depend_on_workers(ou, run):
+    # 37 paths in chunks of 8: five chunks, the last one short
+    avg = build_averaged_model(ou, np.linspace(-10.0, 11.0, 257))
+
+    def arrays(result):
+        parts = result if isinstance(result, tuple) else (result,)
+        return [a for p in parts for a in ((p.times, p.slow, p.fast) if isinstance(p, Ensemble) else (p,))
+                if a is not None]
+
+    serial = arrays(run(ou, avg, 1))
+    for workers in (2, 3, 10**6):
+        forked = arrays(run(ou, avg, workers))
+        assert len(forked) == len(serial)
+        for a, b in zip(serial, forked):
+            np.testing.assert_array_equal(a, b)
+        assert multiprocessing.active_children() == []
+
+
+def test_pool_size_never_exceeds_chunks_or_cores():
+    cores = len(os.sched_getaffinity(0))
+    assert _pool_size(10**6, 5) == min(5, cores)
+    assert _pool_size(10**6, 10**9) == cores
+    assert _pool_size(10**6, 1) == 1
+    assert _pool_size(1, 5) == 1
+    # a forked child holds only the calling thread, so a run beside other threads stays serial
+    stop = threading.Event()
+    other = threading.Thread(target=stop.wait)
+    other.start()
+    try:
+        assert _pool_size(10**6, 5) == 1
+    finally:
+        stop.set()
+        other.join(timeout=10)
+    assert not other.is_alive()
+
+
+@pytest.mark.parametrize("workers", [0, -2, 1.5, 2.0, True, "2", None])
+def test_bad_worker_count_raises_config_error(ou, workers):
     cfg = SimConfig(epsilon=0.1, dt=0.01, horizon=0.1, n_paths=4, seed=0)
-    with pytest.raises(ConfigError, match="paired"):
-        simulate_averaged(flat_brownian(), cfg, paired=True, variant=1)
+    with pytest.raises(ConfigError, match="workers must be a positive integer"):
+        simulate_coupled(ou, cfg, workers=workers)
+    with pytest.raises(ConfigError, match="workers must be a positive integer"):
+        simulate_averaged(flat_brownian(), cfg, workers=workers)
 
 
 def test_stiffness_guard(ou):
@@ -188,6 +269,34 @@ def test_blowup_raises_with_step_context(run, path_index, step):
     with pytest.raises(BlowUpError, match="non-finite") as info:
         run()
     assert (info.value.path_index, info.value.step) == (path_index, step)
+
+
+def cubic_drift_model():
+    # x' = x^3 explodes in finite time from wherever the noise carries x far enough
+    base = cubic_blowup_model()
+    return replace(base, coefficients=replace(base.coefficients, sigma=lambda x, y: y, f=lambda x, y: -y))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda cfg, w: simulate_coupled(cubic_drift_model(), cfg, workers=w),
+        lambda cfg, w: simulate_paired(cubic_drift_model(), flat_brownian(), cfg, workers=w),
+    ],
+    ids=["coupled", "paired"],
+)
+def test_blowup_in_a_later_chunk_is_the_same_at_any_worker_count(run):
+    # paths 0-7 survive the horizon; path 12, in the second chunk, is the first to blow up
+    cfg = SimConfig(epsilon=0.1, dt=0.01, horizon=1.0, n_paths=24, seed=5, x0=0.0, y0=0.0, chunk_size=8)
+    seen = []
+    for workers in (1, 2, 3):
+        with pytest.raises(BlowUpError) as info:
+            run(cfg, workers)
+        seen.append((str(info.value), info.value.path_index, info.value.step))
+        assert multiprocessing.active_children() == []
+    assert seen[0][1:] == (12, 833)
+    assert seen == [seen[0]] * 3
 
 
 def test_frozen_sim_fixes_the_slow_state(example21):
