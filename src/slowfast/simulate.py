@@ -26,6 +26,7 @@ from __future__ import annotations
 import multiprocessing
 import numbers
 import os
+import pickle
 import threading
 from dataclasses import dataclass, fields
 
@@ -100,19 +101,24 @@ class SimConfig:
             if kind and (isinstance(v, bool) or not isinstance(v, kind) or not abs(v) < np.inf):
                 word = "an integer" if f.type == "int" else "a finite real number"
                 raise ConfigError(f"{f.name} must be {word}, got {v!r}")
-        for bad, message in (
-            (self.seed < 0, "seed must be nonnegative"),
-            (self.epsilon <= 0.0, "epsilon must be positive"),
-            (self.dt <= 0.0, "dt must be positive"),
-            (not self.dt < self.horizon, "dt must be smaller than horizon"),
-            (self.n_paths < 1, "n_paths must be at least 1"),
-            (self.store not in _STORE_MODES, f"store must be one of {_STORE_MODES}"),
-            (self.store == "strided" and self.stride < 1, "stride must be at least 1"),
-            (self.fast_substep <= 0.0, "fast_substep must be positive"),
-            (self.chunk_size < 1, "chunk_size must be at least 1"),
-        ):
-            if bad:
-                raise ConfigError(message)
+        if self.seed < 0:
+            raise ConfigError("seed must be nonnegative")
+        if self.epsilon <= 0.0:
+            raise ConfigError("epsilon must be positive")
+        if self.dt <= 0.0:
+            raise ConfigError("dt must be positive")
+        if not self.dt < self.horizon:
+            raise ConfigError("dt must be smaller than horizon")
+        if self.n_paths < 1:
+            raise ConfigError("n_paths must be at least 1")
+        if self.store not in _STORE_MODES:
+            raise ConfigError(f"store must be one of {_STORE_MODES}")
+        if self.store == "strided" and self.stride < 1:
+            raise ConfigError("stride must be at least 1")
+        if self.fast_substep <= 0.0:
+            raise ConfigError("fast_substep must be positive")
+        if self.chunk_size < 1:
+            raise ConfigError("chunk_size must be at least 1")
 
     def n_slow_steps(self):
         n = int(round(self.horizon / self.dt))
@@ -126,7 +132,10 @@ class SimConfig:
             return np.array([n])
         if self.store == "full":
             return np.arange(n + 1)
-        return np.unique(np.append(np.arange(0, n + 1, self.stride), n))
+        idx = np.arange(0, n + 1, self.stride)
+        if idx[-1] != n:
+            idx = np.append(idx, n)
+        return idx
 
 
 @dataclass(frozen=True)
@@ -142,6 +151,10 @@ class Ensemble:
     slow: np.ndarray
     fast: np.ndarray | None
 
+    @property
+    def n_paths(self):
+        return self.slow.shape[0]
+
     def terminal_slow(self):
         return self.slow[:, -1]
 
@@ -154,9 +167,14 @@ def _draw_rows(seed, p0, p1, tag, variant, n_draws):
 
 
 def _check_finite(x, step, p0):
-    if not np.all(np.isfinite(x)):
-        path = p0 + int(np.flatnonzero(~np.isfinite(x))[0])
-        raise BlowUpError(f"path {path} became non-finite at fast step {step}", path_index=path, step=step)
+    if np.all(np.isfinite(x)):
+        return
+    bad = int(np.flatnonzero(~np.isfinite(x))[0])
+    raise BlowUpError(
+        f"path {p0 + bad} became non-finite at fast step {step}",
+        path_index=p0 + bad,
+        step=step,
+    )
 
 
 def _check_workers(workers):
@@ -166,11 +184,16 @@ def _check_workers(workers):
 
 
 def _pool_size(workers, n_chunks):
-    """Processes for ``n_chunks`` chunks: at most one per chunk and usable core, and one while other
-    threads run (a forked child holds only the calling thread, not the locks the others hold) or where
-    the platform reports no CPU affinity, as where it cannot fork."""
+    """Processes that run ``n_chunks`` chunks: at most one per chunk and usable core.
+
+    One while other threads run (a forked child holds only the calling
+    thread, not the locks the others hold), and one where the platform
+    reports no CPU affinity, as where it cannot fork.
+    """
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    return min(_check_workers(workers), n_chunks, cores if threading.active_count() == 1 else 1)
+    if threading.active_count() > 1:
+        cores = 1
+    return min(_check_workers(workers), n_chunks, cores)
 
 
 def _adopt(runner):
@@ -179,28 +202,40 @@ def _adopt(runner):
 
 
 def _run_chunk(bounds):
-    return _CHUNK_RUNNER(*bounds)
+    try:
+        return _CHUNK_RUNNER(*bounds)
+    except Exception as exc:
+        # an exception that does not unpickle would kill the pool's result
+        # thread and leave the parent waiting forever
+        try:
+            pickle.loads(pickle.dumps(exc))
+        except Exception:
+            raise RuntimeError(repr(exc)) from None
+        raise
 
 
 def _euler_loop(config, n_sub, draw, start, step, record=lambda state: state, workers=1):
     """The Euler-Maruyama loop behind every simulator, one chunk of paths at a time.
 
-    ``draw(p0, p1)`` returns the chunk's noise, a tuple of arrays with one row
-    per path; ``start(n)`` is the initial state of n paths, a tuple of arrays,
-    and ``step(state, k, noise)`` the state after loop step k, whose replaced
-    components are checked for finiteness. ``record(state)`` gives the arrays
-    stored on the ``config.store`` grid, whose slow step spans ``n_sub`` loop
-    steps. With ``workers > 1`` whole chunks run in a fork-context process
-    pool and return in order, so results and errors are the serial loop's.
-    Returns the stored times and one (n_paths, n_stored) array per record.
+    ``draw(p0, p1)`` returns the chunk's noise as a tuple of arrays with one
+    row per path. ``start(n)`` is the initial state of n paths, a tuple of
+    arrays, and ``step(state, k, noise)`` the state after loop step k; every
+    component it replaces is checked for finiteness. ``record(state)``, the
+    state itself by default, gives the arrays stored on the ``config.store``
+    grid, whose slow step spans ``n_sub`` loop steps. With ``workers > 1``
+    whole chunks run in a fork-context process pool and come back in chunk
+    order, so results and errors are the serial loop's. Returns the stored
+    times and one (n_paths, n_stored) array per recorded quantity.
     """
     stored = config.stored_indices()
     store_at = {int(j) * n_sub: k for k, j in enumerate(stored)}
     n_steps = config.n_slow_steps() * n_sub
-    chunks = [(p0, min(p0 + config.chunk_size, config.n_paths)) for p0 in range(0, config.n_paths, config.chunk_size)]
+    chunks = [(p0, min(p0 + config.chunk_size, config.n_paths))
+              for p0 in range(0, config.n_paths, config.chunk_size)]
 
     def run(p0, p1, rows, r0):
-        # the noise lives in this frame only: two chunks' noise is never alive at once
+        # the noise lives in this frame only, so that two chunks' noise
+        # matrices are never alive at once
         noise = draw(p0, p1)
         state = start(p1 - p0)
         for k in range(n_steps + 1):
@@ -222,9 +257,12 @@ def _euler_loop(config, n_sub, draw, start, step, record=lambda state: state, wo
         for p0, p1 in chunks:
             run(p0, p1, out, p0)
         return stored * config.dt, out
-    # fork hands the closures to the pool processes without pickling; leaving the
-    # block terminates and joins them, also on an error
-    child = lambda p0, p1: run(p0, p1, [np.empty((p1 - p0, stored.size)) for _ in out], 0)
+
+    def child(p0, p1):
+        return run(p0, p1, [np.empty((p1 - p0, stored.size)) for _ in out], 0)
+
+    # fork hands the closures to the pool processes without pickling; leaving
+    # the block terminates and joins them, also on an error
     with multiprocessing.get_context("fork").Pool(size, _adopt, (child,)) as pool:
         for (p0, p1), rows in zip(chunks, pool.imap(_run_chunk, chunks)):
             for o, r in zip(out, rows):
@@ -241,40 +279,59 @@ def _averaged_step(avg, x, dt, dw):
 def _coupled(model: ModelSpec, config: SimConfig, workers, avg=None):
     """The coupled pair, plus an averaged path on its slow noise when ``avg`` is given."""
     if config.dt / config.epsilon > _STIFFNESS_GUARD + 1e-12:
-        raise ConfigError(f"dt/epsilon = {config.dt / config.epsilon:.3g} exceeds the stiffness guard "
-                          f"{_STIFFNESS_GUARD}; reduce dt for this epsilon")
+        raise ConfigError(
+            f"dt/epsilon = {config.dt / config.epsilon:.3g} exceeds the "
+            f"stiffness guard {_STIFFNESS_GUARD}; reduce dt for this epsilon"
+        )
     if not np.all(model.slow_domain.contains(config.x0)):
         raise ConfigError("x0 outside the slow domain")
     if not np.all(model.fast_domain.contains(config.y0)):
         raise ConfigError("y0 outside the fast domain")
 
     n_sub = max(1, int(np.ceil(config.dt / (config.epsilon * config.fast_substep) - 1e-12)))
-    n_slow, h, c = config.n_slow_steps(), config.dt / n_sub, model.coefficients
-    sqrt_h, inv_eps, sqrt_inv_eps = np.sqrt(h), 1.0 / config.epsilon, 1.0 / np.sqrt(config.epsilon)
+    n_slow = config.n_slow_steps()
+    h = config.dt / n_sub
+    sqrt_h = np.sqrt(h)
+    inv_eps = 1.0 / config.epsilon
+    sqrt_inv_eps = 1.0 / np.sqrt(config.epsilon)
+    c = model.coefficients
 
     def draw(p0, p1):
         xi = _draw_rows(config.seed, p0, p1, EQ_SLOW, 0, n_slow * n_sub)
         eta = _draw_rows(config.seed, p0, p1, EQ_FAST, 0, n_slow * n_sub)
-        # the averaged path's increment over each dt block sums the block's slow draws
-        return (xi, eta) if avg is None else (xi, eta, sqrt_h * xi.reshape(p1 - p0, n_slow, n_sub).sum(axis=2))
+        if avg is None:
+            return xi, eta
+        # the averaged path's increment over a dt block sums the block's slow draws
+        return xi, eta, sqrt_h * xi.reshape(p1 - p0, n_slow, n_sub).sum(axis=2)
 
     def step(state, k, noise):
         x, y = state[:2]
         xi, eta = noise[0][:, k - 1], noise[1][:, k - 1]
-        new = (model.slow_domain.reflect(x + c.b(x, y) * h + c.sigma(x, y) * (sqrt_h * xi)),
-               model.fast_domain.reflect(y + c.f(x, y) * (h * inv_eps) + c.g(x, y) * (sqrt_h * sqrt_inv_eps * eta)))
+        b = c.b(x, y)
+        s = c.sigma(x, y)
+        f = c.f(x, y)
+        g = c.g(x, y)
+        x = x + b * h + s * (sqrt_h * xi)
+        y = y + f * (h * inv_eps) + g * (sqrt_h * sqrt_inv_eps * eta)
+        new = model.slow_domain.reflect(x), model.fast_domain.reflect(y)
         if avg is None:
             return new
         # the averaged path moves once per dt block, on the block's summed noise
-        xbar = state[2] if k % n_sub else _averaged_step(avg, state[2], config.dt, noise[2][:, k // n_sub - 1])
+        xbar = state[2]
+        if k % n_sub == 0:
+            xbar = _averaged_step(avg, xbar, config.dt, noise[2][:, k // n_sub - 1])
         return new + (xbar,)
 
     def start(n):
-        return tuple(np.full(n, float(v)) for v in (config.x0, config.y0, config.x0)[: 2 if avg is None else 3])
+        x0 = np.full(n, float(config.x0))
+        y0 = np.full(n, float(config.y0))
+        return (x0, y0) if avg is None else (x0, y0, x0.copy())
 
     times, out = _euler_loop(config, n_sub, draw, start, step, workers=workers)
     coupled = Ensemble(times=times, slow=out[0], fast=out[1])
-    return coupled if avg is None else (coupled, Ensemble(times=times, slow=out[2], fast=None))
+    if avg is None:
+        return coupled
+    return coupled, Ensemble(times=times, slow=out[2], fast=None)
 
 
 def simulate_coupled(model: ModelSpec, config: SimConfig, workers=1) -> Ensemble:
@@ -298,26 +355,36 @@ def simulate_paired(model: ModelSpec, avg, config: SimConfig, workers=1):
     return _coupled(model, config, workers, avg)
 
 
-def _frozen_copies(model: ModelSpec, x, config: SimConfig, y0s, record=lambda ys: ys, workers=1):
+def _frozen_copies(model: ModelSpec, x, config: SimConfig, y0s, record=lambda ys: ys):
     """Copies of the frozen fast equation started at ``y0s``, all on the same noise."""
     if not np.all(model.slow_domain.contains(x)):
         raise ConfigError("frozen slow coordinate outside the slow domain")
-    if not all(np.all(model.fast_domain.contains(y0)) for y0 in y0s):
-        raise ConfigError("initial fast state outside the fast domain")
+    for y0 in y0s:
+        if not np.all(model.fast_domain.contains(y0)):
+            raise ConfigError("initial fast state outside the fast domain")
 
     n_sub = max(1, int(np.ceil(config.dt / config.fast_substep - 1e-12)))
-    h, n_fast, c, xval = config.dt / n_sub, config.n_slow_steps() * n_sub, model.coefficients, float(x)
+    h = config.dt / n_sub
+    n_fast = config.n_slow_steps() * n_sub
     sqrt_h = np.sqrt(h)
+    c = model.coefficients
+    xval = float(x)
 
     def step(ys, k, noise):
         dw = sqrt_h * noise[0][:, k - 1]
         return tuple(model.fast_domain.reflect(y + c.f(xval, y) * h + c.g(xval, y) * dw) for y in ys)
 
-    return _euler_loop(config, n_sub, lambda p0, p1: (_draw_rows(config.seed, p0, p1, EQ_FAST, 0, n_fast),),
-                       lambda n: tuple(np.full(n, float(y0)) for y0 in y0s), step, record, workers)
+    return _euler_loop(
+        config,
+        n_sub,
+        lambda p0, p1: (_draw_rows(config.seed, p0, p1, EQ_FAST, 0, n_fast),),
+        lambda n: tuple(np.full(n, float(y0)) for y0 in y0s),
+        step,
+        record,
+    )
 
 
-def simulate_frozen(model: ModelSpec, x, config: SimConfig, workers=1) -> Ensemble:
+def simulate_frozen(model: ModelSpec, x, config: SimConfig) -> Ensemble:
     """Integrate the frozen fast equation dY = f(x, Y) dt + g(x, Y) dB.
 
     The slow coordinate is pinned at ``x`` and the fast equation runs at
@@ -325,11 +392,11 @@ def simulate_frozen(model: ModelSpec, x, config: SimConfig, workers=1) -> Ensemb
     holds the constant slow coordinate as a read-only broadcast view of the
     fast table's shape, so it costs no memory.
     """
-    times, (fast,) = _frozen_copies(model, x, config, (config.y0,), workers=workers)
+    times, (fast,) = _frozen_copies(model, x, config, (config.y0,))
     return Ensemble(times=times, slow=np.broadcast_to(float(x), fast.shape), fast=fast)
 
 
-def frozen_pair_gap(model: ModelSpec, x, config: SimConfig, y0_other, workers=1):
+def frozen_pair_gap(model: ModelSpec, x, config: SimConfig, y0_other):
     """Gap |Y - Y'| of two synchronously coupled frozen trajectories.
 
     Both copies start from ``config.y0`` and ``y0_other`` and consume the
@@ -337,8 +404,9 @@ def frozen_pair_gap(model: ModelSpec, x, config: SimConfig, y0_other, workers=1)
     frozen equation. Returns (times, gaps) with gaps of shape
     (n_paths, n_stored) on the grid selected by ``config.store``.
     """
-    record = lambda ys: (np.abs(ys[0] - ys[1]),)
-    times, (gap,) = _frozen_copies(model, x, config, (config.y0, y0_other), record, workers)
+    times, (gap,) = _frozen_copies(
+        model, x, config, (config.y0, y0_other), lambda ys: (np.abs(ys[0] - ys[1]),)
+    )
     return times, gap
 
 
@@ -353,9 +421,15 @@ def simulate_averaged(avg, config: SimConfig, variant=0, workers=1) -> Ensemble:
     variant : int
         Sub-seed for independent copies (noise-floor estimates).
     """
-    n_slow, sqrt_dt = config.n_slow_steps(), np.sqrt(config.dt)
-    times, (slow,) = _euler_loop(
-        config, 1, lambda p0, p1: (sqrt_dt * _draw_rows(config.seed, p0, p1, EQ_AVG, variant, n_slow),),
-        lambda n: (np.full(n, float(config.x0)),),
-        lambda state, k, noise: (_averaged_step(avg, state[0], config.dt, noise[0][:, k - 1]),), workers=workers)
+    n_slow = config.n_slow_steps()
+    sqrt_dt = np.sqrt(config.dt)
+
+    def draw(p0, p1):
+        return (sqrt_dt * _draw_rows(config.seed, p0, p1, EQ_AVG, variant, n_slow),)
+
+    def step(state, k, noise):
+        return (_averaged_step(avg, state[0], config.dt, noise[0][:, k - 1]),)
+
+    start = lambda n: (np.full(n, float(config.x0)),)
+    times, (slow,) = _euler_loop(config, 1, draw, start, step, workers=workers)
     return Ensemble(times=times, slow=slow, fast=None)

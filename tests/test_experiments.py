@@ -416,7 +416,7 @@ def test_rerun_from_manifest_is_bit_identical(tmp_path):
 
 
 @pytest.mark.parametrize("command", ["l2fail", "converge"])
-def test_cli_artifacts_do_not_depend_on_workers(tmp_path, command):
+def test_cli_artifacts_do_not_depend_on_workers(tmp_path, command, forks):
     # 40 paths in chunks of 16: the pool runs three chunks, the last one short
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"n_paths": 40, "chunk_size": 16, "horizon": 0.2, "dt": 0.01, "x0": 0.0, "y0": 0.0}))
@@ -457,7 +457,7 @@ def test_library_runners_reject_a_bad_worker_count(ou):
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
-def test_cli_l2fail_blowup_diagnostic_does_not_depend_on_workers(tmp_path, capsys, monkeypatch):
+def test_cli_l2fail_blowup_diagnostic_does_not_depend_on_workers(tmp_path, capsys, monkeypatch, forks):
     # pure-fast-l2 with the slow drift x^3: on this config paths 0-7 survive and
     # path 12, in the second chunk, is the first to blow up
     import slowfast.experiments as experiments

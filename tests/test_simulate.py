@@ -1,5 +1,6 @@
 import multiprocessing
 import os
+import signal
 import threading
 from dataclasses import replace
 
@@ -22,7 +23,7 @@ from slowfast import (
     simulate_paired,
 )
 from slowfast.models import FULL_LINE, StateDomain
-from slowfast.simulate import EQ_FAST, EQ_SLOW, _draw_rows, _pool_size, frozen_pair_gap, path_stream
+from slowfast.simulate import EQ_FAST, EQ_SLOW, _draw_rows, _pool_size, path_stream
 
 
 def flat_brownian(span=200.0):
@@ -124,14 +125,12 @@ _WORKER_CONFIG = SimConfig(epsilon=0.1, dt=0.01, horizon=0.2, n_paths=37, seed=9
     "run",
     [
         lambda m, avg, w: simulate_coupled(m, _WORKER_CONFIG, workers=w),
-        lambda m, avg, w: simulate_frozen(m, 0.3, _WORKER_CONFIG, workers=w),
-        lambda m, avg, w: frozen_pair_gap(m, 0.3, _WORKER_CONFIG, 2.5, workers=w),
         lambda m, avg, w: simulate_averaged(avg, _WORKER_CONFIG, variant=1, workers=w),
         lambda m, avg, w: simulate_paired(m, avg, _WORKER_CONFIG, workers=w),
     ],
-    ids=["coupled", "frozen", "pair-gap", "averaged", "paired"],
+    ids=["coupled", "averaged", "paired"],
 )
-def test_ensembles_do_not_depend_on_workers(ou, run):
+def test_ensembles_do_not_depend_on_workers(ou, run, forks):
     # 37 paths in chunks of 8: five chunks, the last one short
     avg = build_averaged_model(ou, np.linspace(-10.0, 11.0, 257))
 
@@ -286,7 +285,7 @@ def cubic_drift_model():
     ],
     ids=["coupled", "paired"],
 )
-def test_blowup_in_a_later_chunk_is_the_same_at_any_worker_count(run):
+def test_blowup_in_a_later_chunk_is_the_same_at_any_worker_count(run, forks):
     # paths 0-7 survive the horizon; path 12, in the second chunk, is the first to blow up
     cfg = SimConfig(epsilon=0.1, dt=0.01, horizon=1.0, n_paths=24, seed=5, x0=0.0, y0=0.0, chunk_size=8)
     seen = []
@@ -298,6 +297,45 @@ def test_blowup_in_a_later_chunk_is_the_same_at_any_worker_count(run):
     assert seen[0][1:] == (12, 833)
     assert seen == [seen[0]] * 3
 
+
+
+class _TwoArgError(Exception):
+    # unpickling calls the class with the one message argument, which fails
+    def __init__(self, what, where):
+        super().__init__(f"{what} at {where}")
+
+
+def _raising_model(exc):
+    def b(x, y):
+        raise exc
+
+    base = cubic_blowup_model()
+    return replace(base, coefficients=replace(base.coefficients, b=b))
+
+
+def test_a_coefficient_error_reaches_the_caller_at_any_worker_count(forks):
+    cfg = SimConfig(epsilon=0.1, dt=0.01, horizon=0.1, n_paths=24, seed=5, x0=0.0, y0=0.0, chunk_size=8)
+    for workers in (1, 2):
+        with pytest.raises(ValueError, match="bad coefficient"):
+            simulate_coupled(_raising_model(ValueError("bad coefficient")), cfg, workers=workers)
+        assert multiprocessing.active_children() == []
+    odd = _raising_model(_TwoArgError("bad coefficient", "x = 0"))
+    with pytest.raises(_TwoArgError):
+        simulate_coupled(odd, cfg, workers=1)
+    # one that does not survive pickling comes back from a pool process as a
+    # RuntimeError naming it; lost in the pool, it would leave the run waiting
+    def hung(signum, frame):
+        raise TimeoutError("the pool lost an error it could not unpickle")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(30)
+    try:
+        with pytest.raises(RuntimeError, match=r"_TwoArgError\('bad coefficient at x = 0'\)"):
+            simulate_coupled(odd, cfg, workers=2)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert multiprocessing.active_children() == []
 
 def test_frozen_sim_fixes_the_slow_state(example21):
     cfg = SimConfig(
