@@ -15,7 +15,10 @@ Randomness
 Every path owns counter-based streams keyed by (seed, path index,
 equation tag, variant) through Philox. The key layout makes ensembles
 bit-identical at any chunking and worker count (``workers > 1`` runs whole
-chunks in forked processes, at most one per chunk and usable core).
+chunks in forked processes, at most one per chunk and usable core). A
+chunk draws its noise in time blocks of at most 16 MiB per noise array,
+continuing each path's stream from block to block, so its memory does not
+grow with horizon/epsilon and the draws are those of one full-length call.
 ``simulate_paired`` steps an averaged path inside the coupled loop on the
 coupled run's own slow increments, summed over each dt block, which makes
 pathwise comparisons of the two equations meaningful.
@@ -46,6 +49,12 @@ _NUMBER_KINDS = {"int": numbers.Integral, "float": numbers.Real}
 # dt may not exceed this multiple of epsilon in coupled runs; larger ratios
 # mean the caller is silently under-resolving the fast equation.
 _STIFFNESS_GUARD = 0.1
+
+# bytes of one noise array's time block; smaller blocks pay the fixed cost
+# of a standard_normal call per path more often
+_BLOCK_BYTES = 16 << 20
+# the live streams of the chunk this thread integrates, by stream key
+_LIVE = threading.local()
 
 
 def path_stream(seed, path_index, equation_tag, variant=0):
@@ -80,7 +89,8 @@ class SimConfig:
         frozen runs h <= h0.
     chunk_size : int
         Paths integrated per vectorized block; affects memory only, never
-        results.
+        results. A chunk's noise is drawn in time blocks of at most 16 MiB
+        per noise array, so memory does not grow with horizon/epsilon.
     """
 
     epsilon: float
@@ -160,9 +170,15 @@ class Ensemble:
 
 
 def _draw_rows(seed, p0, p1, tag, variant, n_draws):
+    """The next ``n_draws`` normals of paths p0..p1-1, one row per path: inside
+    a chunk its streams run on from the previous block, outside one they start fresh."""
+    live = getattr(_LIVE, "streams", {})
     out = np.empty((p1 - p0, n_draws))
     for i, p in enumerate(range(p0, p1)):
-        out[i] = path_stream(seed, p, tag, variant).standard_normal(n_draws)
+        key = (seed, p, tag, variant)
+        if key not in live:
+            live[key] = path_stream(*key)
+        live[key].standard_normal(n_draws, out=out[i])
     return out
 
 
@@ -217,10 +233,12 @@ def _run_chunk(bounds):
 def _euler_loop(config, n_sub, draw, start, step, record=lambda state: state, workers=1):
     """The Euler-Maruyama loop behind every simulator, one chunk of paths at a time.
 
-    ``draw(p0, p1)`` returns the chunk's noise as a tuple of arrays with one
-    row per path. ``start(n)`` is the initial state of n paths, a tuple of
-    arrays, and ``step(state, k, noise)`` the state after loop step k; every
-    component it replaces is checked for finiteness. ``record(state)``, the
+    ``draw(p0, p1, n)`` returns the chunk's noise for its next n loop steps
+    as a tuple of arrays with one row per path, drawn in blocks of whole slow
+    steps and at most ``_BLOCK_BYTES`` per n-column array. ``start(n)`` is
+    the initial state of n paths, a tuple of arrays, and ``step(state, j,
+    noise)`` the state after the block's j-th step (from 1); every component
+    it replaces is checked for finiteness. ``record(state)``, the
     state itself by default, gives the arrays stored on the ``config.store``
     grid, whose slow step spans ``n_sub`` loop steps. With ``workers > 1``
     whole chunks run in a fork-context process pool and come back in chunk
@@ -234,21 +252,27 @@ def _euler_loop(config, n_sub, draw, start, step, record=lambda state: state, wo
               for p0 in range(0, config.n_paths, config.chunk_size)]
 
     def run(p0, p1, rows, r0):
-        # the noise lives in this frame only, so that two chunks' noise
-        # matrices are never alive at once
-        noise = draw(p0, p1)
+        block = max(1, _BLOCK_BYTES // (8 * (p1 - p0) * n_sub)) * n_sub
         state = start(p1 - p0)
-        for k in range(n_steps + 1):
-            if k > 0:
-                new = step(state, k, noise)
-                for v, old in zip(new, state):
-                    if v is not old:
-                        _check_finite(v, k, p0)
-                state = new
-            col = store_at.get(k)
-            if col is not None:
-                for o, v in zip(rows, record(state)):
-                    o[r0:r0 + p1 - p0, col] = v
+        _LIVE.streams = {}
+        try:
+            for k in range(n_steps + 1):
+                if k > 0:
+                    j = (k - 1) % block + 1
+                    if j == 1:
+                        noise = None  # release the old block before drawing the next
+                        noise = draw(p0, p1, min(block, n_steps - k + 1))
+                    new = step(state, j, noise)
+                    for v, old in zip(new, state):
+                        if v is not old:
+                            _check_finite(v, k, p0)
+                    state = new
+                col = store_at.get(k)
+                if col is not None:
+                    for o, v in zip(rows, record(state)):
+                        o[r0:r0 + p1 - p0, col] = v
+        finally:
+            del _LIVE.streams
         return rows
 
     out = [np.empty((config.n_paths, stored.size)) for _ in record(start(1))]
@@ -289,24 +313,23 @@ def _coupled(model: ModelSpec, config: SimConfig, workers, avg=None):
         raise ConfigError("y0 outside the fast domain")
 
     n_sub = max(1, int(np.ceil(config.dt / (config.epsilon * config.fast_substep) - 1e-12)))
-    n_slow = config.n_slow_steps()
     h = config.dt / n_sub
     sqrt_h = np.sqrt(h)
     inv_eps = 1.0 / config.epsilon
     sqrt_inv_eps = 1.0 / np.sqrt(config.epsilon)
     c = model.coefficients
 
-    def draw(p0, p1):
-        xi = _draw_rows(config.seed, p0, p1, EQ_SLOW, 0, n_slow * n_sub)
-        eta = _draw_rows(config.seed, p0, p1, EQ_FAST, 0, n_slow * n_sub)
+    def draw(p0, p1, n):
+        xi = _draw_rows(config.seed, p0, p1, EQ_SLOW, 0, n)
+        eta = _draw_rows(config.seed, p0, p1, EQ_FAST, 0, n)
         if avg is None:
             return xi, eta
         # the averaged path's increment over a dt block sums the block's slow draws
-        return xi, eta, sqrt_h * xi.reshape(p1 - p0, n_slow, n_sub).sum(axis=2)
+        return xi, eta, sqrt_h * xi.reshape(p1 - p0, n // n_sub, n_sub).sum(axis=2)
 
-    def step(state, k, noise):
+    def step(state, j, noise):
         x, y = state[:2]
-        xi, eta = noise[0][:, k - 1], noise[1][:, k - 1]
+        xi, eta = noise[0][:, j - 1], noise[1][:, j - 1]
         b = c.b(x, y)
         s = c.sigma(x, y)
         f = c.f(x, y)
@@ -318,8 +341,8 @@ def _coupled(model: ModelSpec, config: SimConfig, workers, avg=None):
             return new
         # the averaged path moves once per dt block, on the block's summed noise
         xbar = state[2]
-        if k % n_sub == 0:
-            xbar = _averaged_step(avg, xbar, config.dt, noise[2][:, k // n_sub - 1])
+        if j % n_sub == 0:
+            xbar = _averaged_step(avg, xbar, config.dt, noise[2][:, j // n_sub - 1])
         return new + (xbar,)
 
     def start(n):
@@ -365,19 +388,18 @@ def _frozen_copies(model: ModelSpec, x, config: SimConfig, y0s, record=lambda ys
 
     n_sub = max(1, int(np.ceil(config.dt / config.fast_substep - 1e-12)))
     h = config.dt / n_sub
-    n_fast = config.n_slow_steps() * n_sub
     sqrt_h = np.sqrt(h)
     c = model.coefficients
     xval = float(x)
 
-    def step(ys, k, noise):
-        dw = sqrt_h * noise[0][:, k - 1]
+    def step(ys, j, noise):
+        dw = sqrt_h * noise[0][:, j - 1]
         return tuple(model.fast_domain.reflect(y + c.f(xval, y) * h + c.g(xval, y) * dw) for y in ys)
 
     return _euler_loop(
         config,
         n_sub,
-        lambda p0, p1: (_draw_rows(config.seed, p0, p1, EQ_FAST, 0, n_fast),),
+        lambda p0, p1, n: (_draw_rows(config.seed, p0, p1, EQ_FAST, 0, n),),
         lambda n: tuple(np.full(n, float(y0)) for y0 in y0s),
         step,
         record,
@@ -421,14 +443,13 @@ def simulate_averaged(avg, config: SimConfig, variant=0, workers=1) -> Ensemble:
     variant : int
         Sub-seed for independent copies (noise-floor estimates).
     """
-    n_slow = config.n_slow_steps()
     sqrt_dt = np.sqrt(config.dt)
 
-    def draw(p0, p1):
-        return (sqrt_dt * _draw_rows(config.seed, p0, p1, EQ_AVG, variant, n_slow),)
+    def draw(p0, p1, n):
+        return (sqrt_dt * _draw_rows(config.seed, p0, p1, EQ_AVG, variant, n),)
 
-    def step(state, k, noise):
-        return (_averaged_step(avg, state[0], config.dt, noise[0][:, k - 1]),)
+    def step(state, j, noise):
+        return (_averaged_step(avg, state[0], config.dt, noise[0][:, j - 1]),)
 
     start = lambda n: (np.full(n, float(config.x0)),)
     times, (slow,) = _euler_loop(config, 1, draw, start, step, workers=workers)

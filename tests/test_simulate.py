@@ -1,6 +1,8 @@
 import multiprocessing
 import os
+import resource
 import signal
+import sys
 import threading
 from dataclasses import replace
 
@@ -23,7 +25,8 @@ from slowfast import (
     simulate_paired,
 )
 from slowfast.models import FULL_LINE, StateDomain
-from slowfast.simulate import EQ_FAST, EQ_SLOW, _draw_rows, _pool_size, path_stream
+from slowfast import simulate as simulate_module
+from slowfast.simulate import EQ_FAST, EQ_SLOW, _draw_rows, _pool_size, frozen_pair_gap, path_stream
 
 
 def flat_brownian(span=200.0):
@@ -117,6 +120,12 @@ def test_paired_averaged_replays_the_coupled_slow_noise(pure_fast, ou):
     np.testing.assert_array_equal(paired.slow, _paired_oracle(flat_brownian(), cfg))
 
 
+def _arrays(result):
+    parts = result if isinstance(result, tuple) else (result,)
+    return [a for p in parts for a in ((p.times, p.slow, p.fast) if isinstance(p, Ensemble) else (p,))
+            if a is not None]
+
+
 _WORKER_CONFIG = SimConfig(epsilon=0.1, dt=0.01, horizon=0.2, n_paths=37, seed=9, x0=0.5, y0=1.0,
                            chunk_size=8, store="strided", stride=3)
 
@@ -133,15 +142,9 @@ _WORKER_CONFIG = SimConfig(epsilon=0.1, dt=0.01, horizon=0.2, n_paths=37, seed=9
 def test_ensembles_do_not_depend_on_workers(ou, run, forks):
     # 37 paths in chunks of 8: five chunks, the last one short
     avg = build_averaged_model(ou, np.linspace(-10.0, 11.0, 257))
-
-    def arrays(result):
-        parts = result if isinstance(result, tuple) else (result,)
-        return [a for p in parts for a in ((p.times, p.slow, p.fast) if isinstance(p, Ensemble) else (p,))
-                if a is not None]
-
-    serial = arrays(run(ou, avg, 1))
+    serial = _arrays(run(ou, avg, 1))
     for workers in (2, 3, 10**6):
-        forked = arrays(run(ou, avg, workers))
+        forked = _arrays(run(ou, avg, workers))
         assert len(forked) == len(serial)
         for a, b in zip(serial, forked):
             np.testing.assert_array_equal(a, b)
@@ -346,3 +349,159 @@ def test_frozen_sim_fixes_the_slow_state(example21):
     assert ens.slow.shape == ens.fast.shape
     np.testing.assert_array_equal(ens.slow, np.full_like(ens.slow, 0.25))
     assert not ens.slow.flags.writeable
+
+
+def _full_row_oracle(seed, p0, p1, tag, variant, n_draws):
+    # every row from a fresh stream: right when one call draws a chunk's whole run
+    return np.stack([path_stream(seed, p, tag, variant).standard_normal(n_draws) for p in range(p0, p1)])
+
+
+# 37 paths in chunks of 8; the coupled runs take 10 fast steps per slow step
+# (200 in all), the averaged and frozen ones 1 (20 in all)
+_BLOCK_CONFIG = SimConfig(epsilon=0.1, dt=0.01, horizon=0.2, n_paths=37, seed=6, x0=0.5, y0=1.0,
+                          chunk_size=8, store="full")
+
+_BLOCK_RUNS = {
+    "coupled": (lambda m, w: simulate_coupled(m, _BLOCK_CONFIG, workers=w), (1, 2)),
+    "paired": (lambda m, w: simulate_paired(m, flat_brownian(), _BLOCK_CONFIG, workers=w), (1, 2)),
+    "averaged": (lambda m, w: simulate_averaged(flat_brownian(), _BLOCK_CONFIG, variant=3, workers=w), (1, 2)),
+    "frozen": (lambda m, w: simulate_frozen(m, 0.5, _BLOCK_CONFIG), (1,)),
+    "pair-gap": (lambda m, w: frozen_pair_gap(m, 0.5, _BLOCK_CONFIG, -1.0), (1,)),
+}
+
+
+# 1 byte: blocks of exactly one slow step. 448: blocks of 7 steps (8 paths) and
+# 11 (5 paths) for the averaged and frozen runs, the last one partial. 1920:
+# 30 steps (8 paths) and 40 (5 paths) for the coupled runs, the last 8-path
+# block partial; the frozen and averaged runs fit in one block.
+@pytest.mark.parametrize("block_bytes", [1, 448, 1920])
+@pytest.mark.parametrize("name", list(_BLOCK_RUNS))
+def test_noise_blocks_match_full_row_draws(ou, monkeypatch, name, block_bytes):
+    run, worker_counts = _BLOCK_RUNS[name]
+    with monkeypatch.context() as m:
+        m.setattr(simulate_module, "_draw_rows", _full_row_oracle)
+        m.setattr(simulate_module, "_BLOCK_BYTES", 1 << 62)
+        oracle = _arrays(run(ou, 1))
+    monkeypatch.setattr(simulate_module, "_BLOCK_BYTES", block_bytes)
+    for workers in worker_counts:
+        if workers > 1 and _pool_size(workers, 2) < 2:
+            continue  # the serial fallback would compare the serial loop with itself
+        blocked = _arrays(run(ou, workers))
+        assert len(blocked) == len(oracle)
+        for a, b in zip(oracle, blocked):
+            np.testing.assert_array_equal(a, b)
+        assert multiprocessing.active_children() == []
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+def test_blowup_in_a_later_block_names_the_same_path_and_step(monkeypatch):
+    # one slow step per block: every blow-up of the tests above happens blocks after the first
+    monkeypatch.setattr(simulate_module, "_BLOCK_BYTES", 1)
+    late = SimConfig(epsilon=0.1, dt=0.01, horizon=1.0, n_paths=24, seed=5, x0=0.0, y0=0.0, chunk_size=8)
+    cases = [
+        (lambda w: simulate_coupled(
+            cubic_blowup_model(),
+            SimConfig(epsilon=0.5, dt=0.05, horizon=5.0, n_paths=2, seed=0, x0=5.0, y0=0.0),
+            workers=w), (0, 13)),
+        (lambda w: simulate_frozen(
+            cubic_fast_model(), 0.0,
+            SimConfig(epsilon=1.0, dt=0.05, horizon=1.0, n_paths=37, seed=1, y0=0.0, fast_substep=0.05,
+                      chunk_size=8)), (14, 13)),
+        (lambda w: simulate_coupled(cubic_drift_model(), late, workers=w), (12, 833)),
+        (lambda w: simulate_paired(cubic_drift_model(), flat_brownian(), late, workers=w), (12, 833)),
+    ]
+    for run, where in cases:
+        for workers in (1, 2):
+            with pytest.raises(BlowUpError, match="non-finite") as info:
+                run(workers)
+            assert (info.value.path_index, info.value.step) == where
+            assert multiprocessing.active_children() == []
+
+
+def test_no_stream_outlives_its_run(ou):
+    def fresh(seed, n_paths):
+        return _full_row_oracle(seed, 0, n_paths, EQ_SLOW, 0, 5)
+
+    simulate_coupled(ou, _BLOCK_CONFIG)
+    np.testing.assert_array_equal(_draw_rows(6, 0, 37, EQ_SLOW, 0, 5), fresh(6, 37))
+    with pytest.raises(BlowUpError), np.errstate(over="ignore", invalid="ignore"):
+        simulate_coupled(cubic_blowup_model(),
+                         SimConfig(epsilon=0.5, dt=0.05, horizon=5.0, n_paths=2, seed=0, x0=5.0, y0=0.0))
+    np.testing.assert_array_equal(_draw_rows(0, 0, 2, EQ_SLOW, 0, 5), fresh(0, 2))
+
+
+def test_two_threads_simulating_at_once_give_the_serial_results(ou, monkeypatch):
+    # the same stream keys in both threads, drawn a slow step at a time, with
+    # the interpreter switching threads as often as it can
+    monkeypatch.setattr(simulate_module, "_BLOCK_BYTES", 1)
+    configs = [replace(_BLOCK_CONFIG, horizon=0.5), replace(_BLOCK_CONFIG, horizon=0.5, chunk_size=5)]
+    serial = [simulate_coupled(ou, cfg) for cfg in configs]
+    results = [None, None]
+    start = threading.Barrier(2)
+
+    def work(i):
+        start.wait()
+        results[i] = simulate_coupled(ou, configs[i])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for a, b in zip(serial, results):
+        np.testing.assert_array_equal(a.slow, b.slow)
+        np.testing.assert_array_equal(a.fast, b.fast)
+
+
+def _resident_growth(fn):
+    """Growth of the peak resident set, in bytes, while ``fn()`` runs in a forked child.
+
+    A forked child's peak starts at its resident set at the fork, so the
+    growth is what the run itself added, measured as the benchmark's
+    ``peak_rss_mb`` is (tracemalloc peaks also move with numpy's warm-up).
+    """
+    ctx = multiprocessing.get_context("fork")
+    receive, send = ctx.Pipe(duplex=False)
+
+    def child():
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        fn()
+        send.send(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+
+    process = ctx.Process(target=child)
+    process.start()
+    try:
+        assert receive.poll(120), "the measuring child sent nothing"
+        return receive.recv() * 1024  # ru_maxrss counts KiB on Linux
+    finally:
+        process.join(timeout=60)
+        assert not process.is_alive()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="measures in a forked child")
+@pytest.mark.parametrize(
+    "run, n_noise",
+    [
+        (lambda m, cfg: simulate_coupled(m, cfg), 2),
+        (lambda m, cfg: simulate_paired(m, flat_brownian(), cfg), 3),
+        (lambda m, cfg: simulate_frozen(m, 0.5, replace(cfg, fast_substep=0.001)), 1),
+    ],
+    ids=["coupled", "paired", "frozen"],
+)
+def test_noise_memory_does_not_grow_with_the_horizon(ou, monkeypatch, run, n_noise):
+    # one 256-path chunk, 1000 fast steps per unit of time, blocks of 1 MiB:
+    # drawn whole, the noise of horizon 8 would take 16 MiB per array
+    monkeypatch.setattr(simulate_module, "_BLOCK_BYTES", 1 << 20)
+    config = SimConfig(epsilon=0.1, dt=0.01, horizon=1.0, n_paths=256, seed=1, chunk_size=256)
+    run(ou, replace(config, horizon=0.2))  # first calls fill caches before the fork
+    short = _resident_growth(lambda: run(ou, config))
+    long = _resident_growth(lambda: run(ou, replace(config, horizon=8.0)))
+    assert abs(long - short) <= 0.1 * short
+    # the blocks, plus per path its streams (about 4 KiB each), state, temporaries and output
+    assert long <= n_noise * simulate_module._BLOCK_BYTES + config.n_paths * (32 << 10)
