@@ -250,7 +250,6 @@ _register(
             averaged_drift=_example21_bbar,
             averaged_diffusion=_example21_abar,
         ),
-        assumption_constants={"lambda3": 2.0},
     )
 )
 
@@ -276,7 +275,7 @@ _register(
             averaged_drift=lambda x: -np.asarray(x, float) + np.sin(np.asarray(x, float)) * _EXP_HALF,
             averaged_diffusion=lambda x: 1.0 + 0.5 * np.cos(np.asarray(x, float)) * _EXP_HALF,
         ),
-        assumption_constants={"K3": 1.0, "lambda2": 1.0, "lambda3": 2.0},
+        assumption_constants={"K3": 1.0, "lambda2": 1.0},
     )
 )
 
@@ -302,7 +301,7 @@ _register(
             averaged_drift=lambda x: np.zeros(np.shape(np.asarray(x, float))),
             averaged_diffusion=lambda x: np.ones(np.shape(np.asarray(x, float))),
         ),
-        assumption_constants={"lambda2": 1.0, "lambda3": 2.0},
+        assumption_constants={"lambda2": 1.0},
     )
 )
 

@@ -90,7 +90,8 @@ class SimConfig:
     chunk_size : int
         Paths integrated per vectorized block; affects memory only, never
         results. A chunk's noise is drawn in time blocks of at most 16 MiB
-        per noise array, so memory does not grow with horizon/epsilon.
+        per noise array, so the stored output is the one part of memory
+        that grows with the horizon.
     """
 
     epsilon: float
@@ -230,7 +231,7 @@ def _run_chunk(bounds):
         raise
 
 
-def _euler_loop(config, n_sub, draw, start, step, record=lambda state: state, workers=1):
+def _euler_loop(config, stored, n_sub, draw, start, step, record=lambda state: state, workers=1):
     """The Euler-Maruyama loop behind every simulator, one chunk of paths at a time.
 
     ``draw(p0, p1, n)`` returns the chunk's noise for its next n loop steps
@@ -239,13 +240,13 @@ def _euler_loop(config, n_sub, draw, start, step, record=lambda state: state, wo
     the initial state of n paths, a tuple of arrays, and ``step(state, j,
     noise)`` the state after the block's j-th step (from 1); every component
     it replaces is checked for finiteness. ``record(state)``, the
-    state itself by default, gives the arrays stored on the ``config.store``
-    grid, whose slow step spans ``n_sub`` loop steps. With ``workers > 1``
+    state itself by default, gives the arrays stored at the slow step indices
+    ``stored`` (increasing), each slow step spanning ``n_sub`` loop steps;
+    nothing is allocated for the others. With ``workers > 1``
     whole chunks run in a fork-context process pool and come back in chunk
     order, so results and errors are the serial loop's. Returns the stored
     times and one (n_paths, n_stored) array per recorded quantity.
     """
-    stored = config.stored_indices()
     store_at = {int(j) * n_sub: k for k, j in enumerate(stored)}
     n_steps = config.n_slow_steps() * n_sub
     chunks = [(p0, min(p0 + config.chunk_size, config.n_paths))
@@ -350,7 +351,7 @@ def _coupled(model: ModelSpec, config: SimConfig, workers, avg=None):
         y0 = np.full(n, float(config.y0))
         return (x0, y0) if avg is None else (x0, y0, x0.copy())
 
-    times, out = _euler_loop(config, n_sub, draw, start, step, workers=workers)
+    times, out = _euler_loop(config, config.stored_indices(), n_sub, draw, start, step, workers=workers)
     coupled = Ensemble(times=times, slow=out[0], fast=out[1])
     if avg is None:
         return coupled
@@ -378,8 +379,8 @@ def simulate_paired(model: ModelSpec, avg, config: SimConfig, workers=1):
     return _coupled(model, config, workers, avg)
 
 
-def _frozen_copies(model: ModelSpec, x, config: SimConfig, y0s, record=lambda ys: ys):
-    """Copies of the frozen fast equation started at ``y0s``, all on the same noise."""
+def _frozen_copies(model: ModelSpec, x, config: SimConfig, y0s, record=lambda ys: ys, burn_in=0.0):
+    """Copies of the frozen fast equation started at ``y0s`` on one noise, stored from ``burn_in`` on."""
     if not np.all(model.slow_domain.contains(x)):
         raise ConfigError("frozen slow coordinate outside the slow domain")
     for y0 in y0s:
@@ -396,8 +397,10 @@ def _frozen_copies(model: ModelSpec, x, config: SimConfig, y0s, record=lambda ys
         dw = sqrt_h * noise[0][:, j - 1]
         return tuple(model.fast_domain.reflect(y + c.f(xval, y) * h + c.g(xval, y) * dw) for y in ys)
 
+    stored = config.stored_indices()
     return _euler_loop(
         config,
+        stored[stored * config.dt >= burn_in],
         n_sub,
         lambda p0, p1, n: (_draw_rows(config.seed, p0, p1, EQ_FAST, 0, n),),
         lambda n: tuple(np.full(n, float(y0)) for y0 in y0s),
@@ -406,15 +409,17 @@ def _frozen_copies(model: ModelSpec, x, config: SimConfig, y0s, record=lambda ys
     )
 
 
-def simulate_frozen(model: ModelSpec, x, config: SimConfig) -> Ensemble:
+def simulate_frozen(model: ModelSpec, x, config: SimConfig, *, burn_in=0.0) -> Ensemble:
     """Integrate the frozen fast equation dY = f(x, Y) dt + g(x, Y) dB.
 
     The slow coordinate is pinned at ``x`` and the fast equation runs at
-    unit time scale (epsilon plays no role). For a uniform layout ``slow``
-    holds the constant slow coordinate as a read-only broadcast view of the
-    fast table's shape, so it costs no memory.
+    unit time scale (epsilon plays no role). Only the ``config.store`` times
+    t >= ``burn_in`` are kept: earlier ones are neither allocated nor
+    written, although every step is still taken and checked. For a uniform
+    layout ``slow`` holds the constant slow coordinate as a read-only
+    broadcast view of the fast table's shape, so it costs no memory.
     """
-    times, (fast,) = _frozen_copies(model, x, config, (config.y0,))
+    times, (fast,) = _frozen_copies(model, x, config, (config.y0,), burn_in=burn_in)
     return Ensemble(times=times, slow=np.broadcast_to(float(x), fast.shape), fast=fast)
 
 
@@ -452,5 +457,5 @@ def simulate_averaged(avg, config: SimConfig, variant=0, workers=1) -> Ensemble:
         return (_averaged_step(avg, state[0], config.dt, noise[0][:, j - 1]),)
 
     start = lambda n: (np.full(n, float(config.x0)),)
-    times, (slow,) = _euler_loop(config, 1, draw, start, step, workers=workers)
+    times, (slow,) = _euler_loop(config, config.stored_indices(), 1, draw, start, step, workers=workers)
     return Ensemble(times=times, slow=slow, fast=None)

@@ -112,10 +112,15 @@ class EmpiricalMeasure:
 
     @classmethod
     def from_samples(cls, samples):
-        s = np.sort(np.asarray(samples, dtype=float).ravel())
+        return cls._from_sorted(np.sort(np.asarray(samples, dtype=float).ravel()))
+
+    @classmethod
+    def _from_sorted(cls, s):
+        """The measure on the sorted 1-D float array ``s``, which it makes read-only."""
         if s.size == 0:
             raise ConfigError("empirical measure needs at least one sample")
-        if np.any(~np.isfinite(s)):
+        # sorting puts -inf first and +inf and nan last
+        if not (np.isfinite(s[0]) and np.isfinite(s[-1])):
             raise ConfigError("samples must be finite")
         s.flags.writeable = False
         return cls(samples=s)
@@ -338,10 +343,14 @@ def empirical_invariant(model: ModelSpec, x, config: SimConfig) -> EmpiricalMeas
     ``config.store`` must keep trajectories (``full`` or ``strided``). The
     burn-in is ten relaxation times estimated from a quick synchronous-
     coupling probe, capped at (and falling back to) half the horizon, so
-    the stored state at t = horizon always survives it.
+    the stored state at t = horizon always survives it. Only the stored
+    times from the burn-in on are ever held, and they are sorted in place,
+    so the memory is the pooled samples plus one noise block.
     """
     if config.store == "terminal":
         raise ConfigError("empirical invariant needs store='full' or 'strided'")
     burn_in = _estimate_burn_in(model, x, config)
-    ens = simulate_frozen(model, x, config)
-    return EmpiricalMeasure.from_samples(ens.fast[:, ens.times >= burn_in])
+    # the path-major view of the one buffer the run allocated
+    samples = simulate_frozen(model, x, config, burn_in=burn_in).fast.ravel()
+    samples.sort()
+    return EmpiricalMeasure._from_sorted(samples)

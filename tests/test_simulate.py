@@ -264,8 +264,20 @@ def cubic_fast_model():
             14,
             13,
         ),
+        # fast step 13 is t = 0.65, before the burn-in: steps whose times are not stored are still checked
+        (
+            lambda: simulate_frozen(
+                cubic_fast_model(),
+                0.0,
+                SimConfig(epsilon=1.0, dt=0.05, horizon=1.0, n_paths=37, seed=1, y0=0.0,
+                          fast_substep=0.05, chunk_size=8, store="full"),
+                burn_in=0.9,
+            ),
+            14,
+            13,
+        ),
     ],
-    ids=["coupled", "frozen"],
+    ids=["coupled", "frozen", "frozen-before-burn-in"],
 )
 def test_blowup_raises_with_step_context(run, path_index, step):
     with pytest.raises(BlowUpError, match="non-finite") as info:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,11 +13,13 @@ from slowfast import (
     classify,
     empirical_invariant,
     forward_pde_solve,
+    get_builtin,
     moment,
     potential,
+    simulate_frozen,
     stationary_density,
 )
-from slowfast import stationary
+from slowfast import simulate, stationary
 from slowfast.models import FULL_LINE, StateDomain
 from slowfast.stationary import Density1D, EmpiricalMeasure, default_grid
 
@@ -79,6 +83,14 @@ def test_moment_on_samples():
     m = EmpiricalMeasure.from_samples([1.0, 2.0, 3.0, 6.0])
     assert moment(m, 1) == pytest.approx(3.0)
     assert moment(m, 2) == pytest.approx((1 + 4 + 9 + 36) / 4)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_empirical_measure_rejects_non_finite_samples(bad):
+    with pytest.raises(ConfigError, match="finite"):
+        EmpiricalMeasure.from_samples([1.0, bad, -2.0, 3.0])
+    with pytest.raises(ConfigError, match="at least one"):
+        EmpiricalMeasure.from_samples([])
 
 
 def test_repelling_drift_raises():
@@ -161,3 +173,53 @@ def test_burn_in_probe_propagates_program_errors(ou, monkeypatch):
     cfg = SimConfig(epsilon=1.0, dt=0.02, horizon=1.0, n_paths=4, seed=1, y0=0.0, store="full")
     with pytest.raises(RuntimeError, match="probe bug"):
         empirical_invariant(ou, 0.0, cfg)
+
+
+@pytest.mark.parametrize("where", ["estimated", "on-a-stored-time", "between-stored-times"])
+@pytest.mark.parametrize("store", ["full", "strided"])
+@pytest.mark.parametrize("name, x", [("example21", 0.5), ("ou-coupled", 0.8)])
+def test_empirical_invariant_pools_the_columns_from_the_burn_in_on(name, x, store, where, monkeypatch):
+    # 200 steps, so stride 7 leaves a short last stride; chunks of 6 split the 20 paths unevenly
+    model = get_builtin(name)
+    cfg = SimConfig(epsilon=1.0, dt=0.02, horizon=4.0, n_paths=20, seed=9, x0=x, y0=1.0,
+                    store=store, stride=7, chunk_size=6)
+    whole = simulate_frozen(model, x, cfg)
+    assert whole.fast.shape[1] == (201 if store == "full" else 30)
+    b = stationary._estimate_burn_in(model, x, cfg)
+    if where != "estimated":
+        k = whole.times.size // 3
+        b = whole.times[k] if where == "on-a-stored-time" else 0.5 * (whole.times[k] + whole.times[k + 1])
+        monkeypatch.setattr(stationary, "_estimate_burn_in", lambda *args: b)
+    kept = whole.times >= b
+    assert 0 < kept.sum() < kept.size
+    emp = empirical_invariant(model, x, cfg)
+    oracle = np.sort(whole.fast[:, kept].ravel())
+    assert emp.samples.tobytes() == oracle.tobytes()
+    assert not emp.samples.flags.writeable
+
+    late = simulate_frozen(model, x, cfg, burn_in=b)
+    assert late.times.tobytes() == whole.times[kept].tobytes()
+    assert late.fast.tobytes() == whole.fast[:, kept].tobytes()
+    assert late.slow.shape == late.fast.shape
+    at_zero = simulate_frozen(model, x, cfg, burn_in=0.0)
+    np.testing.assert_array_equal(at_zero.times, cfg.stored_indices() * cfg.dt)
+    assert at_zero.fast.tobytes() == whole.fast.tobytes()
+
+
+def test_empirical_invariant_holds_only_the_pooled_samples(ou, monkeypatch):
+    # the burn-in is capped at half the horizon, so the whole trajectory
+    # would be twice the samples; the slack covers a chunk's 48 generators
+    # (about 0.9 kB each), the stored-step table and the step temporaries
+    block = 64 << 10
+    monkeypatch.setattr(simulate, "_BLOCK_BYTES", block)
+    cfg = SimConfig(epsilon=1.0, dt=0.02, horizon=8.0, n_paths=500, seed=3, x0=0.8, y0=0.0,
+                    store="full", chunk_size=48)
+    empirical_invariant(ou, 0.8, cfg)  # first-call imports and caches are not the run's memory
+    tracemalloc.start()
+    try:
+        emp = empirical_invariant(ou, 0.8, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert emp.samples.shape == (500 * 201,)
+    assert peak < emp.samples.nbytes + 2 * block + (128 << 10)
