@@ -133,6 +133,14 @@ class ConvergenceReport:
         return out
 
 
+def _slow_grid(model, x0):
+    """The 1025-node table grid of the averaged runs: the slow domain, cut to x0 +- 10 where it is open."""
+    dom = model.slow_domain
+    lo = dom.lower if dom.bounded_below else x0 - 10.0
+    hi = dom.upper if dom.bounded_above else x0 + 10.0
+    return np.linspace(lo, hi, 1025)
+
+
 def run_averaging_convergence(
     model: ModelSpec, epsilons, config: SimConfig, functionals=False, workers=1
 ) -> ConvergenceReport:
@@ -159,14 +167,7 @@ def run_averaging_convergence(
                 f"model {model.name!r} fails the {name} condition at "
                 f"{report[name].witness}; the averaging study does not apply"
             )
-    dom = model.slow_domain
-    if dom.bounded_below and dom.bounded_above:
-        x_grid = np.linspace(dom.lower, dom.upper, 1025)
-    else:
-        lo = config.x0 - 10.0 if not dom.bounded_below else dom.lower
-        hi = config.x0 + 10.0 if not dom.bounded_above else dom.upper
-        x_grid = np.linspace(lo, hi, 1025)
-    avg = build_averaged_model(model, x_grid)
+    avg = build_averaged_model(model, _slow_grid(model, config.x0))
 
     w1_terminal = []
     gaps = {name: [] for name in _FUNCTIONALS} if functionals else None
@@ -243,14 +244,7 @@ def run_l2_failure(config: SimConfig, epsilons, workers=1) -> L2Report:
     if any(e == np.inf for e in eps):
         raise ConfigError("the mean-square study needs finite epsilons")
     model = get_builtin("pure-fast-l2")
-    dom = model.slow_domain
-    span = 10.0 + abs(config.x0)
-    x_grid = np.linspace(
-        dom.lower if dom.bounded_below else config.x0 - span,
-        dom.upper if dom.bounded_above else config.x0 + span,
-        1025,
-    )
-    avg = build_averaged_model(model, x_grid)
+    avg = build_averaged_model(model, _slow_grid(model, config.x0))
     rho = stationary_density(model, config.x0)
     sigma_bar = np.sqrt(_squared_dispersion_mean(model, config.x0, rho))
     predicted = config.horizon * _expectation(

@@ -16,12 +16,13 @@ Every path owns counter-based streams keyed by (seed, path index,
 equation tag, variant) through Philox. The key layout makes ensembles
 bit-identical at any chunking and worker count (``workers > 1`` runs whole
 chunks in forked processes, at most one per chunk and usable core). A
-chunk draws its noise in time blocks of at most 16 MiB per noise array,
-continuing each path's stream from block to block, so its memory does not
-grow with horizon/epsilon and the draws are those of one full-length call.
-``simulate_paired`` steps an averaged path inside the coupled loop on the
-coupled run's own slow increments, summed over each dt block, which makes
-pathwise comparisons of the two equations meaningful.
+simulator names only the (equation tag, variant) keys of its noise; the
+shared loop draws them for each chunk in time blocks of at most 16 MiB per
+noise array, continuing each path's stream from block to block, so its
+memory does not grow with horizon/epsilon and the draws are those of one
+full-length call. ``simulate_paired`` steps an averaged path inside the
+coupled loop on the coupled run's own slow draws, summed over each slow
+step, which makes pathwise comparisons of the two equations meaningful.
 """
 
 from __future__ import annotations
@@ -231,21 +232,21 @@ def _run_chunk(bounds):
         raise
 
 
-def _euler_loop(config, stored, n_sub, draw, start, step, record=lambda state: state, workers=1):
+def _euler_loop(config, stored, n_sub, streams, initial, step, workers=1):
     """The Euler-Maruyama loop behind every simulator, one chunk of paths at a time.
 
-    ``draw(p0, p1, n)`` returns the chunk's noise for its next n loop steps
-    as a tuple of arrays with one row per path, drawn in blocks of whole slow
-    steps and at most ``_BLOCK_BYTES`` per n-column array. ``start(n)`` is
-    the initial state of n paths, a tuple of arrays, and ``step(state, j,
-    noise)`` the state after the block's j-th step (from 1); every component
-    it replaces is checked for finiteness. ``record(state)``, the
-    state itself by default, gives the arrays stored at the slow step indices
-    ``stored`` (increasing), each slow step spanning ``n_sub`` loop steps;
-    nothing is allocated for the others. With ``workers > 1``
-    whole chunks run in a fork-context process pool and come back in chunk
-    order, so results and errors are the serial loop's. Returns the stored
-    times and one (n_paths, n_stored) array per recorded quantity.
+    ``streams`` holds the (equation tag, variant) key of each noise array;
+    the loop draws them with ``_draw_rows`` in blocks of whole slow steps, at
+    most ``_BLOCK_BYTES`` per array. ``initial`` holds one float per state
+    component, every path starting there. ``step(state, j, noise)`` returns
+    the state after the block's j-th step (from 1), reading column j - 1 of
+    each noise array; every component it replaces is checked for finiteness.
+    Each component is stored at the slow step indices ``stored``
+    (increasing), each slow step spanning ``n_sub`` loop steps; nothing is
+    allocated for the others. With ``workers > 1`` whole chunks run in a
+    fork-context process pool and come back in chunk order, so results and
+    errors are the serial loop's. Returns the stored times and one (n_paths,
+    n_stored) array per state component.
     """
     store_at = {int(j) * n_sub: k for k, j in enumerate(stored)}
     n_steps = config.n_slow_steps() * n_sub
@@ -254,7 +255,7 @@ def _euler_loop(config, stored, n_sub, draw, start, step, record=lambda state: s
 
     def run(p0, p1, rows, r0):
         block = max(1, _BLOCK_BYTES // (8 * (p1 - p0) * n_sub)) * n_sub
-        state = start(p1 - p0)
+        state = tuple(np.full(p1 - p0, float(v)) for v in initial)
         _LIVE.streams = {}
         try:
             for k in range(n_steps + 1):
@@ -262,7 +263,9 @@ def _euler_loop(config, stored, n_sub, draw, start, step, record=lambda state: s
                     j = (k - 1) % block + 1
                     if j == 1:
                         noise = None  # release the old block before drawing the next
-                        noise = draw(p0, p1, min(block, n_steps - k + 1))
+                        n = min(block, n_steps - k + 1)
+                        noise = tuple(_draw_rows(config.seed, p0, p1, tag, variant, n)
+                                      for tag, variant in streams)
                     new = step(state, j, noise)
                     for v, old in zip(new, state):
                         if v is not old:
@@ -270,13 +273,13 @@ def _euler_loop(config, stored, n_sub, draw, start, step, record=lambda state: s
                     state = new
                 col = store_at.get(k)
                 if col is not None:
-                    for o, v in zip(rows, record(state)):
+                    for o, v in zip(rows, state):
                         o[r0:r0 + p1 - p0, col] = v
         finally:
             del _LIVE.streams
         return rows
 
-    out = [np.empty((config.n_paths, stored.size)) for _ in record(start(1))]
+    out = [np.empty((config.n_paths, stored.size)) for _ in initial]
     size = _pool_size(workers, len(chunks))
     if size == 1:
         for p0, p1 in chunks:
@@ -296,9 +299,7 @@ def _euler_loop(config, stored, n_sub, draw, start, step, record=lambda state: s
 
 
 def _averaged_step(avg, x, dt, dw):
-    x = x + avg.drift(x) * dt + avg.sigma(x) * dw
-    domain = getattr(avg, "slow_domain", None)
-    return x if domain is None else domain.reflect(x)
+    return avg.slow_domain.reflect(x + avg.drift(x) * dt + avg.sigma(x) * dw)
 
 
 def _coupled(model: ModelSpec, config: SimConfig, workers, avg=None):
@@ -320,14 +321,6 @@ def _coupled(model: ModelSpec, config: SimConfig, workers, avg=None):
     sqrt_inv_eps = 1.0 / np.sqrt(config.epsilon)
     c = model.coefficients
 
-    def draw(p0, p1, n):
-        xi = _draw_rows(config.seed, p0, p1, EQ_SLOW, 0, n)
-        eta = _draw_rows(config.seed, p0, p1, EQ_FAST, 0, n)
-        if avg is None:
-            return xi, eta
-        # the averaged path's increment over a dt block sums the block's slow draws
-        return xi, eta, sqrt_h * xi.reshape(p1 - p0, n // n_sub, n_sub).sum(axis=2)
-
     def step(state, j, noise):
         x, y = state[:2]
         xi, eta = noise[0][:, j - 1], noise[1][:, j - 1]
@@ -340,18 +333,15 @@ def _coupled(model: ModelSpec, config: SimConfig, workers, avg=None):
         new = model.slow_domain.reflect(x), model.fast_domain.reflect(y)
         if avg is None:
             return new
-        # the averaged path moves once per dt block, on the block's summed noise
+        # the averaged path moves once per slow step, on the sum of that step's slow draws
         xbar = state[2]
         if j % n_sub == 0:
-            xbar = _averaged_step(avg, xbar, config.dt, noise[2][:, j // n_sub - 1])
+            xbar = _averaged_step(avg, xbar, config.dt, sqrt_h * noise[0][:, j - n_sub:j].sum(axis=1))
         return new + (xbar,)
 
-    def start(n):
-        x0 = np.full(n, float(config.x0))
-        y0 = np.full(n, float(config.y0))
-        return (x0, y0) if avg is None else (x0, y0, x0.copy())
-
-    times, out = _euler_loop(config, config.stored_indices(), n_sub, draw, start, step, workers=workers)
+    initial = (config.x0, config.y0) if avg is None else (config.x0, config.y0, config.x0)
+    times, out = _euler_loop(config, config.stored_indices(), n_sub, ((EQ_SLOW, 0), (EQ_FAST, 0)),
+                             initial, step, workers=workers)
     coupled = Ensemble(times=times, slow=out[0], fast=out[1])
     if avg is None:
         return coupled
@@ -379,7 +369,7 @@ def simulate_paired(model: ModelSpec, avg, config: SimConfig, workers=1):
     return _coupled(model, config, workers, avg)
 
 
-def _frozen_copies(model: ModelSpec, x, config: SimConfig, y0s, record=lambda ys: ys, burn_in=0.0):
+def _frozen_copies(model: ModelSpec, x, config: SimConfig, y0s, burn_in=0.0):
     """Copies of the frozen fast equation started at ``y0s`` on one noise, stored from ``burn_in`` on."""
     if not np.all(model.slow_domain.contains(x)):
         raise ConfigError("frozen slow coordinate outside the slow domain")
@@ -398,15 +388,7 @@ def _frozen_copies(model: ModelSpec, x, config: SimConfig, y0s, record=lambda ys
         return tuple(model.fast_domain.reflect(y + c.f(xval, y) * h + c.g(xval, y) * dw) for y in ys)
 
     stored = config.stored_indices()
-    return _euler_loop(
-        config,
-        stored[stored * config.dt >= burn_in],
-        n_sub,
-        lambda p0, p1, n: (_draw_rows(config.seed, p0, p1, EQ_FAST, 0, n),),
-        lambda n: tuple(np.full(n, float(y0)) for y0 in y0s),
-        step,
-        record,
-    )
+    return _euler_loop(config, stored[stored * config.dt >= burn_in], n_sub, ((EQ_FAST, 0),), y0s, step)
 
 
 def simulate_frozen(model: ModelSpec, x, config: SimConfig, *, burn_in=0.0) -> Ensemble:
@@ -431,10 +413,8 @@ def frozen_pair_gap(model: ModelSpec, x, config: SimConfig, y0_other):
     frozen equation. Returns (times, gaps) with gaps of shape
     (n_paths, n_stored) on the grid selected by ``config.store``.
     """
-    times, (gap,) = _frozen_copies(
-        model, x, config, (config.y0, y0_other), lambda ys: (np.abs(ys[0] - ys[1]),)
-    )
-    return times, gap
+    times, (y, y_other) = _frozen_copies(model, x, config, (config.y0, y0_other))
+    return times, np.abs(y - y_other)
 
 
 def simulate_averaged(avg, config: SimConfig, variant=0, workers=1) -> Ensemble:
@@ -450,12 +430,9 @@ def simulate_averaged(avg, config: SimConfig, variant=0, workers=1) -> Ensemble:
     """
     sqrt_dt = np.sqrt(config.dt)
 
-    def draw(p0, p1, n):
-        return (sqrt_dt * _draw_rows(config.seed, p0, p1, EQ_AVG, variant, n),)
-
     def step(state, j, noise):
-        return (_averaged_step(avg, state[0], config.dt, noise[0][:, j - 1]),)
+        return (_averaged_step(avg, state[0], config.dt, sqrt_dt * noise[0][:, j - 1]),)
 
-    start = lambda n: (np.full(n, float(config.x0)),)
-    times, (slow,) = _euler_loop(config, config.stored_indices(), 1, draw, start, step, workers=workers)
+    times, (slow,) = _euler_loop(config, config.stored_indices(), 1, ((EQ_AVG, variant),), (config.x0,),
+                                 step, workers=workers)
     return Ensemble(times=times, slow=slow, fast=None)

@@ -99,7 +99,7 @@ def _paired_oracle(avg, config):
     return np.stack(path, axis=1)
 
 
-def test_paired_averaged_replays_the_coupled_slow_noise(pure_fast, ou):
+def test_paired_averaged_replays_the_coupled_slow_noise(pure_fast, ou, monkeypatch):
     cfg = SimConfig(epsilon=0.05, dt=0.005, horizon=0.25, n_paths=16, seed=3, x0=0.5, y0=0.0,
                     store="full", chunk_size=6)
     # on a model with a non-trivial averaged equation the one-loop paired path
@@ -118,6 +118,12 @@ def test_paired_averaged_replays_the_coupled_slow_noise(pure_fast, ou):
     coupled, paired = simulate_paired(unit, flat_brownian(), cfg)
     np.testing.assert_allclose(paired.terminal_slow(), coupled.terminal_slow(), rtol=0.0, atol=1e-12)
     np.testing.assert_array_equal(paired.slow, _paired_oracle(flat_brownian(), cfg))
+    # 150 and 300 draws per slow step, past numpy's 128-element pairwise
+    # summation block; at 300, blocks of 3 slow steps (6 paths) and 4 (4 paths)
+    for fast_substep, block_bytes in ((1 / 1500, simulate_module._BLOCK_BYTES), (1 / 3000, 43200)):
+        monkeypatch.setattr(simulate_module, "_BLOCK_BYTES", block_bytes)
+        fine = replace(cfg, horizon=0.05, fast_substep=fast_substep)
+        np.testing.assert_array_equal(simulate_paired(ou, avg, fine)[1].slow, _paired_oracle(avg, fine))
 
 
 def _arrays(result):
@@ -363,6 +369,18 @@ def test_frozen_sim_fixes_the_slow_state(example21):
     assert not ens.slow.flags.writeable
 
 
+def test_pair_gap_is_two_frozen_runs_on_one_noise(ou, example21):
+    # 37 paths in chunks of 8, 5 fast steps per slow step, every third slow step stored
+    cfg = SimConfig(epsilon=1.0, dt=0.01, horizon=0.2, n_paths=37, seed=6, y0=1.0, chunk_size=8,
+                    store="strided", stride=3, fast_substep=0.002)
+    for model, x, y_other in ((ou, 0.5, -1.0), (example21, 0.5, 0.2)):
+        times, gap = frozen_pair_gap(model, x, cfg, y_other)
+        a = simulate_frozen(model, x, cfg)
+        b = simulate_frozen(model, x, replace(cfg, y0=y_other))
+        np.testing.assert_array_equal(times, a.times)
+        np.testing.assert_array_equal(gap, np.abs(a.fast - b.fast))
+
+
 def _full_row_oracle(seed, p0, p1, tag, variant, n_draws):
     # every row from a fresh stream: right when one call draws a chunk's whole run
     return np.stack([path_stream(seed, p, tag, variant).standard_normal(n_draws) for p in range(p0, p1)])
@@ -501,7 +519,7 @@ def _resident_growth(fn):
     "run, n_noise",
     [
         (lambda m, cfg: simulate_coupled(m, cfg), 2),
-        (lambda m, cfg: simulate_paired(m, flat_brownian(), cfg), 3),
+        (lambda m, cfg: simulate_paired(m, flat_brownian(), cfg), 2),
         (lambda m, cfg: simulate_frozen(m, 0.5, replace(cfg, fast_substep=0.001)), 1),
     ],
     ids=["coupled", "paired", "frozen"],
