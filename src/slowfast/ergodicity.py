@@ -26,20 +26,15 @@ local recurrence in which every term stays moderate:
 
 with a[i] = +-delta[i] the potential drop across panel i and b[i] the log
 of that panel's exponential-fitted mass (the same phi-function that
-underlies the flux scheme below). s(z) M([0, z]), e^{Phi(z)} int_0^z s
+underlies ``_flux_operator``). s(z) M([0, z]), e^{Phi(z)} int_0^z s
 and, run from the far end, s(z) M([z, end]) are its three instances.
 
-The forward solver is a flux operator on (grid, drift, diffusion) that
-knows nothing of models: finite volumes for u_t = -(drift u)' +
-(diffusion u)'' with exponentially fitted (Scharfetter-Gummel) edge
-fluxes in this Ito form. Each edge's Peclet number is the exact panel
-integral of drift/diffusion minus the jump in log diffusion, which makes
-the discrete stationary state exp(int drift/diffusion)/diffusion at the
-nodes; with drift f and diffusion g^2/2 that is exp(Phi)/g^2, so the
-invariant density is preserved by construction, not approximately. Time
-stepping is Crank-Nicolson with a short backward-Euler startup to damp
-the ringing a near-point initial mass would otherwise excite; both solve
-with I - (dt/2) A, LU-factored once per marched interval.
+The forward solver marches ``stationary._frozen_generator``, whose
+discrete stationary state is exp(Phi)/g^2 at the nodes, so the invariant
+density is preserved by construction, not approximately. Time stepping is
+Crank-Nicolson with a short backward-Euler startup to damp the ringing a
+near-point initial mass would otherwise excite; both solve with
+I - (dt/2) A, LU-factored once per marched interval.
 """
 
 from __future__ import annotations
@@ -52,10 +47,10 @@ from scipy.special import logsumexp
 
 from .errors import ConfigError, ConservationError, SlowfastError
 from .metrics import tv_distance
-from .models import FULL_LINE, INTERVAL, ModelSpec, _evaluate
+from .models import FULL_LINE, INTERVAL, ModelSpec
 from .numerics import cumulative_gauss, fit_exponential_decay, gauss_panels, log_trapezoid
 from .simulate import SimConfig, frozen_pair_gap
-from .stationary import Density1D, _frozen_axis, default_grid, stationary_density
+from .stationary import Density1D, _default_pde_grid, _frozen_axis, _frozen_generator, stationary_density
 
 GROWTH_CAP = 1e6
 INCREMENT_FLOOR = 1e-10
@@ -354,58 +349,6 @@ def classify(model: ModelSpec, x) -> ErgodicityReport:
     )
 
 
-def _bernoulli(p):
-    """B(p) = p / (e^p - 1), the exponential-fitting flux weight."""
-    p = np.asarray(p, dtype=float)
-    out = np.empty_like(p)
-    small = np.abs(p) < 1e-8
-    big = p > 700.0
-    mid = ~(small | big)
-    out[small] = 1.0 - 0.5 * p[small]
-    out[big] = 0.0
-    with np.errstate(over="ignore"):
-        out[mid] = p[mid] / np.expm1(p[mid])
-    return out
-
-
-def _default_pde_grid(model, x, y0):
-    base = default_grid(model, x)
-    lo, hi = base[0], base[-1]
-    span = hi - lo
-    if y0 is not None:
-        lo = min(lo, y0 - 0.05 * span)
-        hi = max(hi, y0 + 0.05 * span)
-    if model.fast_domain.bounded_below:
-        lo = max(lo, model.fast_domain.lower)
-    if model.fast_domain.bounded_above:
-        hi = min(hi, model.fast_domain.upper)
-    return np.linspace(lo, hi, 2049)
-
-
-def _flux_operator(grid, drift, diffusion):
-    """Generator A of u_t = -(drift u)' + (diffusion u)'' (see the module docstring).
-
-    ``drift`` and ``diffusion`` map arrays of points to coefficient arrays.
-    Returns the cell volumes ``vol`` and the bands ``(lower, diag, upper)``
-    of the tridiagonal A, (A u)[i] = lower[i-1] u[i-1] + diag[i] u[i] +
-    upper[i] u[i+1]. No flux leaves through the ends, so vol @ (A u) = 0.
-    """
-    h = np.diff(grid)
-    dcoef = diffusion(grid)
-    p = gauss_panels(lambda y: drift(y) / diffusion(y), grid) - np.diff(np.log(dcoef))
-    w = np.sqrt(dcoef[:-1] * dcoef[1:]) / h
-    a_edge = w * _bernoulli(-p)  # multiplies the left node
-    c_edge = w * _bernoulli(p)  # multiplies the right node
-    vol = np.empty(grid.size)
-    vol[0] = h[0] / 2.0
-    vol[-1] = h[-1] / 2.0
-    vol[1:-1] = (h[:-1] + h[1:]) / 2.0
-    diag = np.zeros(grid.size)
-    diag[:-1] -= a_edge / vol[:-1]
-    diag[1:] -= c_edge / vol[1:]
-    return vol, (a_edge / vol[1:], diag, c_edge / vol[:-1])
-
-
 def _march(bands, u, duration, startup):
     """Crank-Nicolson for u' = A u over one interval, Rannacher startup when asked.
 
@@ -449,16 +392,11 @@ def _density_from_state(grid, u):
 
 
 def _pde_snapshots(model, x, y0, times, grid=None):
-    """Forward solutions at several times from one march; shared machinery.
-
-    The only place that turns the model into the operator's drift f(x, .)
-    and diffusion g(x, .)^2 / 2.
-    """
+    """Forward solutions at several times from one march of ``_frozen_generator``."""
     times = np.asarray(times, dtype=float)
     finite = np.all(np.isfinite(times))
     if times.size == 0 or not finite or np.any(times < 0.0) or np.any(np.diff(times) <= 0.0):
         raise ConfigError("snapshot times must be finite, increasing and nonnegative")
-    _, log_gsq = _frozen_axis(model, x)
     point = not isinstance(y0, Density1D)
     if point:
         y0 = float(y0)
@@ -471,9 +409,7 @@ def _pde_snapshots(model, x, y0, times, grid=None):
         raise ConfigError("pde grid must be strictly increasing with at least 8 nodes")
     if not np.all(model.fast_domain.contains(grid, tol=1e-12)):
         raise ConfigError("pde grid leaves the fast domain")
-    log_gsq(grid)
-    c = model.coefficients
-    vol, bands = _flux_operator(grid, lambda y: _evaluate(c.f, x, y), lambda y: 0.5 * _evaluate(c.g, x, y) ** 2)
+    vol, bands = _frozen_generator(model, x, grid)
     if point:
         if not grid[0] <= y0 <= grid[-1]:
             raise ConfigError("y0 outside the pde grid")

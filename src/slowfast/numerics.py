@@ -1,9 +1,10 @@
 """Shared numerical kernels.
 
-Small, dependency-light helpers used across the package: fixed-order
+Small, model-free helpers used across the package: fixed-order
 Gauss-Legendre panels for cumulative integrals, overflow-safe log-domain
-trapezoid sums, weight-equidistributed grids, mirror reflection, and the
-least-squares fits used by the decay and Holder studies.
+trapezoid sums, weight-equidistributed grids, an exponentially fitted 1-D
+forward operator, mirror reflection, and the least-squares fits used by
+the decay and Holder studies.
 """
 
 from __future__ import annotations
@@ -86,6 +87,50 @@ def curvature_weight(values, step):
     if top <= 0.0:
         return np.ones_like(values)
     return np.maximum(d2, 1e-12 * top) ** (1.0 / 3.0)
+
+
+def _bernoulli(p):
+    """B(p) = p / (e^p - 1), the exponential-fitting flux weight."""
+    p = np.asarray(p, dtype=float)
+    out = np.empty_like(p)
+    small = np.abs(p) < 1e-8
+    big = p > 700.0
+    mid = ~(small | big)
+    out[small] = 1.0 - 0.5 * p[small]
+    out[big] = 0.0
+    with np.errstate(over="ignore"):
+        out[mid] = p[mid] / np.expm1(p[mid])
+    return out
+
+
+def _flux_operator(grid, drift, diffusion):
+    """Generator A of u_t = -(drift u)' + (diffusion u)'' on ``grid``.
+
+    Finite volumes with exponentially fitted (Scharfetter-Gummel) edge
+    fluxes in this Ito form. Each edge's Peclet number is the exact panel
+    integral of drift/diffusion minus the jump in log diffusion, so
+    exp(int drift/diffusion)/diffusion is the exact discrete stationary
+    state at the nodes and A is reversible.
+
+    ``drift`` and ``diffusion`` map arrays of points to coefficient arrays.
+    Returns the cell volumes ``vol`` and the bands ``(lower, diag, upper)``
+    of the tridiagonal A, (A u)[i] = lower[i-1] u[i-1] + diag[i] u[i] +
+    upper[i] u[i+1]. No flux leaves through the ends, so vol @ (A u) = 0.
+    """
+    h = np.diff(grid)
+    dcoef = diffusion(grid)
+    p = gauss_panels(lambda y: drift(y) / diffusion(y), grid) - np.diff(np.log(dcoef))
+    w = np.sqrt(dcoef[:-1] * dcoef[1:]) / h
+    a_edge = w * _bernoulli(-p)  # multiplies the left node
+    c_edge = w * _bernoulli(p)  # multiplies the right node
+    vol = np.empty(grid.size)
+    vol[0] = h[0] / 2.0
+    vol[-1] = h[-1] / 2.0
+    vol[1:-1] = (h[:-1] + h[1:]) / 2.0
+    diag = np.zeros(grid.size)
+    diag[:-1] -= a_edge / vol[:-1]
+    diag[1:] -= c_edge / vol[1:]
+    return vol, (a_edge / vol[1:], diag, c_edge / vol[:-1])
 
 
 def simpson_ratio(numerator, denominator, grid):

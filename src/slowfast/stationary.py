@@ -11,23 +11,25 @@ has (when positive recurrent) the invariant density
 
 with y_ref the lower domain bound, or 0 on the full line. This module
 computes Phi_x, tabulates the normalized density on an accuracy-driven
-grid, and estimates the same measure empirically from long trajectories.
+grid, gives the frozen generator's spectral gap lambda(x), and estimates
+the same measure empirically from long trajectories.
 
-Here and in ``ergodicity`` the coefficients are read through one helper,
-``_frozen_axis``, which supplies 2 f / g^2 and log g^2 (the log shape is
+Here and in ``ergodicity`` the coefficients are read in two places.
+``_frozen_axis`` supplies 2 f / g^2 and log g^2 (the log shape is
 phi - log g^2) broadcast over the fast states, and alone rejects a slow
 state outside the slow domain and a diffusion with g^2 <= 1e-24.
+``_frozen_generator`` builds the forward operator, drift f and diffusion g^2/2.
 
 Grid construction
 -----------------
-The default grid spans the region found by doubling the extent until the
-(moment-weighted) tail mass drops below 1e-9 of the total, then places
-4096 nodes by equidistributing the cube-root-curvature weight of
-(1 + |y - y_ref|) * pi_x. That weight keeps the composite trapezoid rule
-(used for normalization, so that the stored values integrate to exactly 1)
-below 1e-6 relative error even for mixtures with tails as slow as
-exp(-0.03 y), while leaving enough nodes in the tail for first and second
-moment integrands.
+``_extent`` doubles the region until the (moment-weighted) tail mass drops
+below 1e-9 of the total. The default grid places 4096 nodes on it by
+equidistributing the cube-root-curvature weight of (1 + |y - y_ref|) * pi_x.
+That weight keeps the composite trapezoid rule (used for normalization, so
+that the stored values integrate to exactly 1) below 1e-6 relative error
+even for mixtures with tails as slow as exp(-0.03 y), while leaving enough
+nodes in the tail for first and second moment integrands. The forward
+equation and the gap use 2049 uniform nodes on the same extent.
 """
 
 from __future__ import annotations
@@ -36,23 +38,12 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid, quad, trapezoid
+from scipy.linalg import eigh_tridiagonal
 
-from .errors import (
-    ConfigError,
-    DegenerateDiffusionError,
-    InfiniteMomentError,
-    NotPositiveRecurrentError,
-    SlowfastError,
-)
+from .errors import ConfigError, DegenerateDiffusionError, InfiniteMomentError, NotPositiveRecurrentError
 from .models import INTERVAL, ModelSpec, _evaluate
-from .numerics import (
-    cumulative_gauss,
-    curvature_weight,
-    equidistribute,
-    fit_exponential_decay,
-    log_trapezoid,
-)
-from .simulate import SimConfig, frozen_pair_gap, simulate_frozen
+from .numerics import _flux_operator, cumulative_gauss, curvature_weight, equidistribute, log_trapezoid
+from .simulate import SimConfig, simulate_frozen
 
 DEFAULT_GRID_POINTS = 4096
 _PROBE_POINTS = 8193
@@ -229,17 +220,27 @@ def _extend_direction(model, x, anchor, sign):
     )
 
 
-def default_grid(model: ModelSpec, x) -> np.ndarray:
-    """Accuracy-driven grid for the invariant density at slow state x."""
-    ratio, log_gsq = _frozen_axis(model, x)
+def _extent(model, x):
+    """(lo, hi) of the invariant mass at x: a bounded interval, or the doubling search's.
+
+    Raises NotPositiveRecurrentError when the mass diverges.
+    """
+    _, log_gsq = _frozen_axis(model, x)
     dom = model.fast_domain
     anchor = dom.anchor()
     log_gsq(np.array([anchor]))
     if dom.kind == INTERVAL:
-        lo, hi = dom.lower, dom.upper
-    else:
-        hi = anchor + _extend_direction(model, x, anchor, +1.0)
-        lo = anchor - _extend_direction(model, x, anchor, -1.0) if not dom.bounded_below else dom.lower
+        return dom.lower, dom.upper
+    hi = anchor + _extend_direction(model, x, anchor, +1.0)
+    lo = anchor - _extend_direction(model, x, anchor, -1.0) if not dom.bounded_below else dom.lower
+    return lo, hi
+
+
+def default_grid(model: ModelSpec, x) -> np.ndarray:
+    """Accuracy-driven grid for the invariant density at slow state x, ends at ``_extent``."""
+    ratio, log_gsq = _frozen_axis(model, x)
+    anchor = model.fast_domain.anchor()
+    lo, hi = _extent(model, x)
 
     def side_weight(a, b):
         probe = np.linspace(a, b, _PROBE_POINTS)
@@ -262,6 +263,44 @@ def default_grid(model: ModelSpec, x) -> np.ndarray:
     cw = trapezoid(weight, probe)
     weight = np.maximum(weight, cw * 256.0 / (DEFAULT_GRID_POINTS * (hi - lo)))
     return equidistribute(probe, weight, DEFAULT_GRID_POINTS)
+
+
+def _default_pde_grid(model, x, y0):
+    """Uniform forward-equation grid on ``_extent``, widened to hold a start y0 if given."""
+    lo, hi = _extent(model, x)
+    span = hi - lo
+    if y0 is not None:
+        lo = min(lo, y0 - 0.05 * span)
+        hi = max(hi, y0 + 0.05 * span)
+    if model.fast_domain.bounded_below:
+        lo = max(lo, model.fast_domain.lower)
+    if model.fast_domain.bounded_above:
+        hi = min(hi, model.fast_domain.upper)
+    return np.linspace(lo, hi, 2049)
+
+
+def _frozen_generator(model, x, grid):
+    """``(vol, bands)`` of the frozen fast equation's forward operator on ``grid``.
+
+    The only code that turns the model into ``numerics._flux_operator``'s
+    drift f(x, .) and diffusion g(x, .)^2 / 2.
+    """
+    _, log_gsq = _frozen_axis(model, x)
+    log_gsq(grid)  # raises where g vanishes on the grid
+    c = model.coefficients
+    return _flux_operator(grid, lambda y: _evaluate(c.f, x, y), lambda y: 0.5 * _evaluate(c.g, x, y) ** 2)
+
+
+def _spectral_gap(model, x):
+    """Spectral gap lambda(x): minus the second eigenvalue of the frozen generator.
+
+    On ``_default_pde_grid``; the reversible generator is similar to the
+    symmetric tridiagonal with off-diagonal sqrt(lower * upper).
+    """
+    _, (lower, diag, upper) = _frozen_generator(model, x, _default_pde_grid(model, x, None))
+    n = diag.size
+    top = eigh_tridiagonal(diag, np.sqrt(lower * upper), eigvals_only=True, select="i", select_range=(n - 2, n - 1))
+    return -float(top[0])
 
 
 def stationary_density(model: ModelSpec, x, grid=None) -> Density1D:
@@ -309,43 +348,20 @@ def moment(measure, k) -> float:
 
 
 def _estimate_burn_in(model, x, config):
-    """Ten relaxation times from a cheap synchronous-coupling probe."""
-    horizon = min(10.0, config.horizon / 2.0)
-    n = max(2, int(round(horizon / config.dt)))
-    probe_cfg = SimConfig(
-        epsilon=1.0,
-        dt=config.dt,
-        horizon=n * config.dt,
-        n_paths=64,
-        seed=config.seed + 1,
-        store="full",
-        x0=config.x0,
-        y0=config.y0,
-        fast_substep=config.fast_substep,
-    )
-    span = 1.0 if not model.fast_domain.bounded_above else 0.5 * (
-        model.fast_domain.upper - model.fast_domain.lower
-    )
-    try:
-        times, gap = frozen_pair_gap(model, x, probe_cfg, float(config.y0) + span)
-        values = gap.mean(axis=0)
-        _, rate, _ = fit_exponential_decay(times[1:], values[1:], value_floor=1e-10)
-        if rate > 0.0:
-            return min(10.0 / rate, config.horizon / 2.0)
-    except SlowfastError:
-        pass
-    return config.horizon / 2.0
+    """Ten relaxation times 10 / lambda(x), capped at half the horizon."""
+    return min(10.0 / _spectral_gap(model, x), config.horizon / 2.0)
 
 
 def empirical_invariant(model: ModelSpec, x, config: SimConfig) -> EmpiricalMeasure:
     """Pooled post-burn-in fast states of a frozen-run ensemble.
 
     ``config.store`` must keep trajectories (``full`` or ``strided``). The
-    burn-in is ten relaxation times estimated from a quick synchronous-
-    coupling probe, capped at (and falling back to) half the horizon, so
-    the stored state at t = horizon always survives it. Only the stored
-    times from the burn-in on are ever held, and they are sorted in place,
-    so the memory is the pooled samples plus one noise block.
+    burn-in is ten relaxation times 10 / lambda(x) of the frozen generator's
+    spectral gap, capped at half the horizon, so the stored state at
+    t = horizon always survives it; a process with no invariant law raises
+    NotPositiveRecurrentError before any path runs. Only the stored times
+    from the burn-in on are ever held, and they are sorted in place, so the
+    memory is the pooled samples plus one noise block.
     """
     if config.store == "terminal":
         raise ConfigError("empirical invariant needs store='full' or 'strided'")

@@ -12,9 +12,9 @@ from slowfast import (
     tv_distance,
     w1_decay_coupling,
 )
-from slowfast.ergodicity import _flux_operator, _log_recurrence
+from slowfast.ergodicity import _log_recurrence
 from slowfast.models import FULL_LINE, StateDomain
-from slowfast.numerics import cumulative_gauss
+from slowfast.numerics import _flux_operator, cumulative_gauss
 
 from conftest import gaussian_pdf
 

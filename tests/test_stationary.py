@@ -164,15 +164,46 @@ def test_empirical_invariant_matches_analytic_law(ou):
     assert var == pytest.approx(1.0, abs=0.15)
 
 
-def test_burn_in_probe_propagates_program_errors(ou, monkeypatch):
-    # only a SlowfastError from the probe falls back to half the horizon
-    def broken(*args, **kwargs):
-        raise RuntimeError("probe bug")
+def test_empirical_invariant_refuses_a_process_without_invariant_law():
+    # Brownian motion on the line is null recurrent: there is no law to sample
+    brownian = line_model(lambda x, y: 0.0, name="brownian")
+    cfg = SimConfig(epsilon=1.0, dt=0.02, horizon=4.0, n_paths=20, seed=1, y0=0.0, store="full")
+    with pytest.raises(NotPositiveRecurrentError):
+        empirical_invariant(brownian, 0.0, cfg)
 
-    monkeypatch.setattr(stationary, "frozen_pair_gap", broken)
-    cfg = SimConfig(epsilon=1.0, dt=0.02, horizon=1.0, n_paths=4, seed=1, y0=0.0, store="full")
-    with pytest.raises(RuntimeError, match="probe bug"):
-        empirical_invariant(ou, 0.0, cfg)
+
+@pytest.mark.parametrize("x", [0.0, 1.0, 6.0])
+def test_spectral_gap_of_ou_is_one(ou, x):
+    assert stationary._spectral_gap(ou, x) == pytest.approx(1.0, abs=1e-4)
+
+
+@pytest.mark.parametrize("x", [0.0, 1e-3, 0.01, 0.1, 0.5])
+def test_spectral_gap_of_example21_closes_at_the_wall(example21, x):
+    # x^2 / 4 from the potential plus the lowest mode (pi / L)^2 of the
+    # truncated grid; at x = 0 the law is exp(-y) and the rate is 1/4 again
+    grid = stationary._default_pde_grid(example21, x, None)
+    length = grid[-1] - grid[0]
+    expected = (0.25 if x == 0.0 else x * x / 4.0) + (np.pi / length) ** 2
+    assert stationary._spectral_gap(example21, x) == pytest.approx(expected, rel=1e-3)
+
+
+@pytest.mark.parametrize("horizon, expected", [(8.0, 4.0), (40.0, 10.0)])
+def test_burn_in_is_ten_relaxation_times_capped_at_half_the_horizon(ou, horizon, expected, monkeypatch):
+    # the burn-in comes from the generator alone: no path may run
+    monkeypatch.setattr(simulate, "_euler_loop", None)
+    cfg = SimConfig(epsilon=1.0, dt=0.02, horizon=horizon, n_paths=4, seed=1, y0=0.0, store="full")
+    assert stationary._estimate_burn_in(ou, 1.0, cfg) == pytest.approx(expected, rel=1e-4)
+
+
+@pytest.mark.parametrize(
+    "name, x",
+    [("example21", 0.0), ("example21", 0.5), ("example21", 1.0), ("ou-coupled", -5.0),
+     ("ou-coupled", 6.0), ("pure-fast-l2", 0.5)],
+)
+def test_extent_is_the_ends_of_the_default_grid(name, x):
+    model = get_builtin(name)
+    ends = np.array(stationary._extent(model, x), dtype=float)
+    assert ends.tobytes() == default_grid(model, x)[[0, -1]].tobytes()
 
 
 @pytest.mark.parametrize("where", ["estimated", "on-a-stored-time", "between-stored-times"])
