@@ -9,11 +9,12 @@ m(y) = exp(Phi_x(y)) / g(x,y)^2:
 * exponential ergodicity: sup_z M([z, inf)) * int_0^z s stays bounded;
 * strong (uniform) ergodicity: int M([y, inf)) s(y) dy converges.
 
-Each criterion is evaluated on a doubling ladder of domains. A criterion
-is declared finite when the last doubling adds less than 1e-10, divergent
-when the contributions of successive doublings stop decaying (with a
-growth cap of 1e6 flagging fast blowups), and inconclusive otherwise.
-These thresholds are reported, never silent.
+Each criterion is evaluated on a doubling ladder of domains, the walk
+``stationary._segments`` from the mode of m in each open direction. A
+criterion is declared finite when the last doubling adds less than 1e-10,
+divergent when the contributions of successive doublings stop decaying
+(with a growth cap of 1e6 flagging fast blowups), and inconclusive
+otherwise. These thresholds are reported, never silent.
 
 The ladder works with potential differences across single panels rather
 than with the potential itself: quantities like s(z) * M([z, inf)) are
@@ -32,9 +33,9 @@ and, run from the far end, s(z) M([z, end]) are its three instances.
 The forward solver marches ``stationary._frozen_generator``, whose
 discrete stationary state is exp(Phi)/g^2 at the nodes, so the invariant
 density is preserved by construction, not approximately. Time stepping is
-Crank-Nicolson with a short backward-Euler startup to damp the ringing a
-near-point initial mass would otherwise excite; both solve with
-I - (dt/2) A, LU-factored once per marched interval.
+Crank-Nicolson after a short backward-Euler startup on every marched
+interval (see ``_march``); both solve with I - (dt/2) A, LU-factored once
+per marched interval.
 """
 
 from __future__ import annotations
@@ -48,14 +49,14 @@ from scipy.special import logsumexp
 from .errors import ConfigError, ConservationError, SlowfastError
 from .metrics import tv_distance
 from .models import FULL_LINE, INTERVAL, ModelSpec
-from .numerics import cumulative_gauss, fit_exponential_decay, gauss_panels, log_trapezoid
+from .numerics import cumulative_gauss, fit_exponential_decay, log_trapezoid
 from .simulate import SimConfig, frozen_pair_gap
-from .stationary import Density1D, _default_pde_grid, _frozen_axis, _frozen_generator, stationary_density
+from .stationary import (Density1D, _default_pde_grid, _frozen_axis, _frozen_generator, _mode, _segments,
+                         stationary_density)
 
 GROWTH_CAP = 1e6
 INCREMENT_FLOOR = 1e-10
 MAX_DOUBLINGS = 20
-_SEGMENT_PANELS = 256
 _LOG_CAP = np.log(GROWTH_CAP)
 _LOG_FLOOR = np.log(INCREMENT_FLOOR)
 # a non-decaying ladder is only called divergent above this increment, so
@@ -75,8 +76,7 @@ class ErgodicityReport:
 
     Verdicts are True / False / None, None meaning the numerics could not
     decide within the ladder limits. ``integrals`` records each criterion
-    integral with its verdict and the probed radius. ``as_dict`` writes
-    ``"fitted_rates": None``, a key that saved artifacts carry.
+    integral with its verdict and the probed radius.
     """
 
     x: float
@@ -96,7 +96,6 @@ class ErgodicityReport:
             "exp_ergodic": self._word(self.exp_ergodic),
             "strongly_ergodic": self._word(self.strongly_ergodic),
             "integrals": self.integrals,
-            "fitted_rates": None,
         }
 
 
@@ -193,18 +192,15 @@ def _direction_verdicts(ratio, log_gsq, anchor, sign):
     ``ratio`` and ``log_gsq`` are the frozen axis of :func:`_frozen_axis`.
     Returns {criterion: (verdict, log value)} and the last probed radius.
     """
-    r = np.zeros(1)
-    delta = np.zeros(0)  # per-panel potential increments along r
-    lgsq = log_gsq(anchor + sign * r)
+    r = delta = lgsq = np.zeros(0)  # the nodes, panel potential increments and log g^2 so far
     ladders = {name: [] for name in _CRITERIA}
     verdicts, values = {}, {}
     settled_at = None  # doubling at which the speed mass was found finite
-    for k in range(1, MAX_DOUBLINGS + 1):
-        radius = 2.0 ** (k - 1)
-        seg = np.linspace(0.0 if k == 1 else radius / 2.0, radius, _SEGMENT_PANELS + 1)
-        r = np.concatenate([r, seg[1:]])
-        delta = np.concatenate([delta, sign * gauss_panels(lambda s: ratio(anchor + sign * s), seg)])
-        lgsq = np.concatenate([lgsq, log_gsq(anchor + sign * seg[1:])])
+    for k, (seg, seg_delta, seg_lgsq, _) in zip(range(1, MAX_DOUBLINGS + 1), _segments(ratio, log_gsq, anchor, sign)):
+        # each segment starts on the last node of the one before
+        r = np.concatenate([r[:-1], seg])
+        delta = np.concatenate([delta, seg_delta])
+        lgsq = np.concatenate([lgsq[:-1], seg_lgsq])
 
         logh = np.log(np.diff(r))
         gsq_edge = 0.5 * (lgsq[:-1] + lgsq[1:])
@@ -243,7 +239,7 @@ def _direction_verdicts(ratio, log_gsq, anchor, sign):
         name: (verdicts.get(name, INCONCLUSIVE), values.get(name, float(ladders[name][-1])))
         for name in _CRITERIA
     }
-    return out, radius
+    return out, float(r[-1])
 
 
 def _combine(per_direction, name):
@@ -294,12 +290,8 @@ def classify(model: ModelSpec, x) -> ErgodicityReport:
         )
 
     signs = [1.0] if dom.kind != FULL_LINE else [1.0, -1.0]
-    per_direction = []
-    radii = []
-    for sign in signs:
-        result, radius = _direction_verdicts(ratio, log_gsq, dom.anchor(), sign)
-        per_direction.append(result)
-        radii.append(radius)
+    mode = _mode(ratio, log_gsq, dom)
+    per_direction, radii = zip(*(_direction_verdicts(ratio, log_gsq, mode, sign) for sign in signs))
 
     combined = {name: _combine(per_direction, name) for name in _CRITERIA}
 
@@ -349,11 +341,12 @@ def classify(model: ModelSpec, x) -> ErgodicityReport:
     )
 
 
-def _march(bands, u, duration, startup):
-    """Crank-Nicolson for u' = A u over one interval, Rannacher startup when asked.
+def _march(bands, u, duration):
+    """Crank-Nicolson for u' = A u over one interval, after a Rannacher startup.
 
     The startup replaces the first two steps by four backward-Euler half
     steps; these and the Crank-Nicolson steps all solve with I - (dt/2) A.
+    Every interval needs it: alone, Crank-Nicolson leaves a mode mu with dt mu >> 1 ringing.
     """
     lower, diag, upper = bands
     n_steps = int(max(16, min(8192, np.ceil(duration / 2.5e-3))))
@@ -369,12 +362,9 @@ def _march(bands, u, duration, startup):
             raise ConservationError(f"tridiagonal solve failed (LAPACK dgttrs info {info})")
         return out
 
-    done = 0
-    if startup:
-        for _ in range(4):
-            u = solve(u)
-        done = 2
-    for _ in range(n_steps - done):
+    for _ in range(4):
+        u = solve(u)
+    for _ in range(n_steps - 2):
         au = diag * u
         au[:-1] += upper * u[1:]
         au[1:] += lower * u[:-1]
@@ -428,8 +418,7 @@ def _pde_snapshots(model, x, y0, times, grid=None):
     prev = 0.0
     for t in times:
         if t > prev:
-            # only the first march starts from t = 0
-            u = _march(bands, u, t - prev, startup=prev == 0.0)
+            u = _march(bands, u, t - prev)
         prev = t
         mass = float(np.dot(vol, u))
         if abs(mass - 1.0) > 1e-4:

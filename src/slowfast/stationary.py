@@ -22,9 +22,12 @@ state outside the slow domain and a diffusion with g^2 <= 1e-24.
 
 Grid construction
 -----------------
-``_extent`` doubles the region until the (moment-weighted) tail mass drops
-below 1e-9 of the total. The default grid places 4096 nodes on it by
-equidistributing the cube-root-curvature weight of (1 + |y - y_ref|) * pi_x.
+``_mode`` walks uphill from y_ref to the mode of the log shape, and from
+there ``_extent`` doubles the region in each open direction (a half-line
+keeps its wall) until the (moment-weighted) tail mass drops below 1e-9 of
+the total; both walk ``_segments``. The default grid places 4096 nodes on
+it by equidistributing the cube-root-curvature weight of
+(1 + |y - y_ref|) * pi_x over one probe.
 That weight keeps the composite trapezoid rule (used for normalization, so
 that the stored values integrate to exactly 1) below 1e-6 relative error
 even for mixtures with tails as slow as exp(-0.03 y), while leaving enough
@@ -35,14 +38,15 @@ equation and the gap use 2049 uniform nodes on the same extent.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid, quad, trapezoid
 from scipy.linalg import eigh_tridiagonal
 
 from .errors import ConfigError, DegenerateDiffusionError, InfiniteMomentError, NotPositiveRecurrentError
-from .models import INTERVAL, ModelSpec, _evaluate
-from .numerics import _flux_operator, cumulative_gauss, curvature_weight, equidistribute, log_trapezoid
+from .models import FULL_LINE, INTERVAL, ModelSpec, _evaluate
+from .numerics import _flux_operator, cumulative_gauss, curvature_weight, equidistribute, gauss_panels, log_trapezoid
 from .simulate import SimConfig, simulate_frozen
 
 DEFAULT_GRID_POINTS = 4096
@@ -166,6 +170,47 @@ def potential(model: ModelSpec, x, y, y_ref=None) -> float:
     return float(val)
 
 
+def _segments(ratio, log_gsq, anchor, sign):
+    """The doubling walk from ``anchor`` in direction ``sign``, one segment at a time.
+
+    Segment k covers the distances r in [2^k - 1, 2^(k+1) - 1] in 256 panels.
+    Yields r, the potential increments across the panels along the walk,
+    log g^2 and the log shape phi - log g^2, phi carried from 0 at the anchor.
+    """
+    edge, length, phi_edge = 0.0, 1.0, 0.0
+    while True:
+        r = np.linspace(edge, edge + length, 257)
+        delta = sign * gauss_panels(lambda s: ratio(anchor + sign * s), r)
+        phi = phi_edge + np.concatenate([[0.0], np.cumsum(delta)])
+        lgsq = log_gsq(anchor + sign * r)
+        yield r, delta, lgsq, phi - lgsq
+        edge, length, phi_edge = edge + length, 2.0 * length, phi[-1]
+
+
+def _mode(ratio, log_gsq, dom):
+    """Mode of the log shape phi - log g^2: uphill walks until the anchor stops moving.
+
+    Each walk moves to the last node of the shape's strict rise. ``dom.anchor()``
+    is kept when the shape falls away from it on every open side, or when a walk never turns.
+    """
+    anchor = dom.anchor()
+    for _ in range(_MAX_DOUBLINGS):
+        tops = []
+        for sign in (1.0, -1.0) if dom.kind == FULL_LINE else (1.0,):
+            for r, _, _, shape in islice(_segments(ratio, log_gsq, anchor, sign), _MAX_DOUBLINGS):
+                stop = np.flatnonzero(np.diff(shape) <= 0.0)
+                if stop.size:
+                    tops.append(float(anchor + sign * r[stop[0]]))
+                    break
+            else:
+                return dom.anchor()
+        moved = [top for top in tops if top != anchor]
+        if not moved:
+            return anchor
+        anchor = moved[0]
+    return anchor
+
+
 def _extend_direction(model, x, anchor, sign):
     """Doubling search for the extent of the invariant mass in one direction.
 
@@ -176,7 +221,7 @@ def _extend_direction(model, x, anchor, sign):
     ratio, log_gsq = _frozen_axis(model, x)
     # raw segment masses decide divergence of the measure itself; the
     # weighted masses only decide when the grid may stop, and their
-    # (1 + |y|)^2 factor can rise for several doublings while a shallow
+    # (1 + r)^2 factor can rise for several doublings while a shallow
     # exponential tail fights the polynomial, so they must not be the
     # divergence signal. The raw rule additionally requires the newest
     # segment to carry a visible fraction of the running total: a truly
@@ -186,82 +231,53 @@ def _extend_direction(model, x, anchor, sign):
     raw_logmass = []
     total = -np.inf
     total_raw = -np.inf
-    edge = 0.0
-    phi_edge = 0.0
-    length = 1.0
-    for k in range(_MAX_DOUBLINGS):
-        seg = anchor + sign * np.linspace(edge, edge + length, 257)
-        order = np.argsort(seg)
-        seg_sorted = seg[order]
-        phi = cumulative_gauss(ratio, seg_sorted)
-        # carry the potential from the anchor side of the segment
-        phi = phi - phi[0 if sign > 0 else -1] + phi_edge
-        shape = phi - log_gsq(seg_sorted)
-        weight = 2.0 * np.log1p(np.abs(seg_sorted - anchor))
-        lm = log_trapezoid(shape + weight, seg_sorted)
-        phi_edge = phi[-1] if sign > 0 else phi[0]
-        raw_logmass.append(log_trapezoid(shape, seg_sorted))
+    for r, _, _, shape in islice(_segments(ratio, log_gsq, anchor, sign), _MAX_DOUBLINGS):
+        lm = log_trapezoid(shape + 2.0 * np.log1p(r), r)
+        raw_logmass.append(log_trapezoid(shape, r))
         total = np.logaddexp(total, lm)
         total_raw = np.logaddexp(total_raw, raw_logmass[-1])
-        edge += length
         if lm < total + np.log(_TAIL_FRACTION):
-            return edge
+            return float(r[-1])
         if len(raw_logmass) >= _DIVERGENCE_RUN + 5:
             tail = raw_logmass[-_DIVERGENCE_RUN:]
             nondecaying = all(tail[i + 1] >= tail[i] - 1e-9 for i in range(len(tail) - 1))
             if nondecaying and tail[-1] > total_raw + np.log(_DIVERGENCE_FRACTION):
                 raise NotPositiveRecurrentError(
                     f"invariant mass diverges at x = {float(x)!r} "
-                    f"(segment masses stopped decaying beyond |y| = {edge:g})"
+                    f"(segment masses stopped decaying beyond distance {r[-1]:g})"
                 )
-        length *= 2.0
     raise NotPositiveRecurrentError(
         f"tail mass did not converge within {_MAX_DOUBLINGS} doublings at x = {float(x)!r}"
     )
 
 
 def _extent(model, x):
-    """(lo, hi) of the invariant mass at x: a bounded interval, or the doubling search's.
+    """(lo, hi) of the invariant mass at x: a bounded interval, or the doubling searches'.
 
+    Both searches start at the mode; a half-line keeps its wall as ``lo``.
     Raises NotPositiveRecurrentError when the mass diverges.
     """
-    _, log_gsq = _frozen_axis(model, x)
+    ratio, log_gsq = _frozen_axis(model, x)
     dom = model.fast_domain
-    anchor = dom.anchor()
-    log_gsq(np.array([anchor]))
     if dom.kind == INTERVAL:
         return dom.lower, dom.upper
-    hi = anchor + _extend_direction(model, x, anchor, +1.0)
-    lo = anchor - _extend_direction(model, x, anchor, -1.0) if not dom.bounded_below else dom.lower
+    mode = _mode(ratio, log_gsq, dom)
+    hi = mode + _extend_direction(model, x, mode, +1.0)
+    lo = mode - _extend_direction(model, x, mode, -1.0) if not dom.bounded_below else dom.lower
     return lo, hi
 
 
 def default_grid(model: ModelSpec, x) -> np.ndarray:
     """Accuracy-driven grid for the invariant density at slow state x, ends at ``_extent``."""
     ratio, log_gsq = _frozen_axis(model, x)
-    anchor = model.fast_domain.anchor()
     lo, hi = _extent(model, x)
-
-    def side_weight(a, b):
-        probe = np.linspace(a, b, _PROBE_POINTS)
-        phi = cumulative_gauss(ratio, probe)
-        ls = phi - log_gsq(probe)
-        ls -= ls.max()
-        m = np.exp(ls) * (1.0 + np.abs(probe - anchor))
-        return probe, curvature_weight(m, probe[1] - probe[0])
-
-    if lo < anchor < hi:
-        pl, wl = side_weight(lo, anchor)
-        pr, wr = side_weight(anchor, hi)
-        probe = np.concatenate([pl, pr[1:]])
-        weight = np.concatenate([wl, wr[1:]])
-        weight[pl.size - 1] = max(wl[-1], wr[0])
-    else:
-        probe, weight = side_weight(lo, hi)
-
-    # normalize the two sides against a common scale, then cap max spacing
-    cw = trapezoid(weight, probe)
-    weight = np.maximum(weight, cw * 256.0 / (DEFAULT_GRID_POINTS * (hi - lo)))
+    probe = np.linspace(lo, hi, _PROBE_POINTS)
+    ls = cumulative_gauss(ratio, probe) - log_gsq(probe)
+    ls -= ls.max()
+    m = np.exp(ls) * (1.0 + np.abs(probe - model.fast_domain.anchor()))
+    weight = curvature_weight(m, probe[1] - probe[0])
+    # cap the max spacing against the weight's own scale
+    weight = np.maximum(weight, trapezoid(weight, probe) * 256.0 / (DEFAULT_GRID_POINTS * (hi - lo)))
     return equidistribute(probe, weight, DEFAULT_GRID_POINTS)
 
 
@@ -319,15 +335,9 @@ def stationary_density(model: ModelSpec, x, grid=None) -> Density1D:
     grid = np.asarray(grid, dtype=float)
     if not np.all(model.fast_domain.contains(grid, tol=1e-12)):
         raise ConfigError("grid leaves the fast domain")
-    # Phi_x by panelwise Gauss-Legendre, zero at the domain anchor when the
-    # grid spans it; the shift is kept because it sets the rounding of ls
-    phi = cumulative_gauss(ratio, grid)
-    anchor = model.fast_domain.anchor()
-    if grid[0] <= anchor <= grid[-1]:
-        phi -= np.interp(anchor, grid, phi)
-    ls = phi - log_gsq(grid)
-    raw = np.exp(ls - ls.max())
-    return Density1D.from_unnormalized(grid, raw)
+    # Phi_x by panelwise Gauss-Legendre, zero at grid[0]
+    ls = cumulative_gauss(ratio, grid) - log_gsq(grid)
+    return Density1D.from_unnormalized(grid, np.exp(ls - ls.max()))
 
 
 def moment(measure, k) -> float:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from slowfast import (
     CoefficientSet,
@@ -7,19 +8,20 @@ from slowfast import (
     ModelSpec,
     classify,
     forward_pde_solve,
+    get_builtin,
     stationary_density,
     tv_decay_curve,
     tv_distance,
     w1_decay_coupling,
 )
 from slowfast.ergodicity import _log_recurrence
-from slowfast.models import FULL_LINE, StateDomain
+from slowfast.models import FULL_LINE, HALF_LINE, INTERVAL, StateDomain
 from slowfast.numerics import _flux_operator, cumulative_gauss
 
 from conftest import gaussian_pdf
 
 
-def line_model(f, name, g=None):
+def line_model(f, name, g=None, fast_domain=StateDomain(FULL_LINE)):
     if g is None:
         g = lambda x, y: np.sqrt(2.0)
     return ModelSpec(
@@ -31,8 +33,72 @@ def line_model(f, name, g=None):
             g=g,
         ),
         slow_domain=StateDomain(FULL_LINE),
-        fast_domain=StateDomain(FULL_LINE),
+        fast_domain=fast_domain,
     )
+
+
+_TEST_MODELS = {
+    "cubic": dict(f=lambda x, y: -y ** 3),
+    "repelling": dict(f=lambda x, y: y),
+    "sign-drift": dict(f=lambda x, y: -np.sign(y)),
+    # density (1 + y^2)^(-1/2): infinite mass, diverging only logarithmically
+    "logarithmic": dict(f=lambda x, y: -y / (1.0 + y ** 2)),
+    # mode at y = 1, inside the half-line
+    "half-line": dict(f=lambda x, y: 1.0 - y, fast_domain=StateDomain(HALF_LINE, 0.0)),
+    "interval": dict(f=lambda x, y: -y, fast_domain=StateDomain(INTERVAL, -1.0, 1.0)),
+    "growing-g": dict(f=lambda x, y: -y, g=lambda x, y: np.sqrt(2.0 * (1.0 + y ** 2))),
+}
+
+_REFERENCE_VERDICTS = [
+    ("example21", 1e-3, (True, True, False)),
+    ("example21", 0.01, (True, True, False)),
+    ("example21", 0.1, (True, True, False)),
+    ("example21", 0.5, (True, True, False)),
+    ("example21", 0.9, (True, True, False)),
+    ("example21", 1.0, (True, True, False)),
+    ("ou-coupled", -1.0, (True, True, False)),
+    ("ou-coupled", 0.0, (True, True, False)),
+    ("ou-coupled", 0.5, (True, True, False)),
+    ("pure-fast-l2", 0.5, (True, True, False)),
+    ("cubic", 0.0, (True, True, True)),
+    ("repelling", 0.0, (False, False, False)),
+    ("sign-drift", 0.0, (True, True, False)),
+    ("logarithmic", 0.0, (False, False, False)),
+    ("half-line", 0.0, (True, True, False)),
+    ("interval", 0.0, (True, True, True)),
+    ("growing-g", 0.0, (True, True, False)),
+]
+
+
+@pytest.mark.parametrize("name, x, expected", _REFERENCE_VERDICTS, ids=[f"{n}@{x:g}" for n, x, _ in _REFERENCE_VERDICTS])
+def test_reference_verdicts(name, x, expected):
+    # at x = 1e-3 example21's exponential criterion settles only at the
+    # ladder's last doubling, radius 2^20 - 1; lambda(x) > 0 says it must
+    if name in _TEST_MODELS:
+        model = line_model(name=name, **_TEST_MODELS[name])
+    else:
+        model = get_builtin(name)
+    report = classify(model, x)
+    assert (report.ergodic, report.exp_ergodic, report.strongly_ergodic) == expected
+
+
+@pytest.mark.parametrize("x", [-1000.0, -6.0, 6.0, 127.0, 1000.0])
+def test_classify_ou_far_from_zero_gives_the_verdicts_at_zero(ou, x):
+    # the log shape rises by x^2 / 2 from y = 0 to the mode y = x; the
+    # ladder starts at the mode, so that rise is never read as divergence
+    at_zero = classify(ou, 0.0)
+    report = classify(ou, x)
+    verdicts = lambda r: (r.ergodic, r.exp_ergodic, r.strongly_ergodic)
+    assert verdicts(report) == verdicts(at_zero) == (True, True, False)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.floats(min_value=-1e4, max_value=1e4, allow_nan=False))
+def test_classify_ou_finds_no_false_verdict_over_a_wide_x_range(x):
+    # every frozen law is normal(x, 1): ergodic and exponentially ergodic,
+    # and, like any Ornstein-Uhlenbeck process, not uniformly ergodic
+    d = classify(get_builtin("ou-coupled"), x).as_dict()
+    assert (d["ergodic"], d["exp_ergodic"], d["strongly_ergodic"]) == ("true", "true", "false")
 
 
 def test_classify_example21_middle(example21):
@@ -146,6 +212,14 @@ def test_pde_preserves_stationarity(ou):
     rho = forward_pde_solve(ou, -0.5, target, 1.0)
     resampled = stationary_density(ou, -0.5, grid=rho.grid)
     assert tv_distance(rho, resampled) < 1e-8
+
+
+@pytest.mark.parametrize("x", [0.5, 0.01])
+def test_one_long_interval_reaches_stationarity(example21, x):
+    # from t = 1 to 1e9 the march takes 8192 steps of about 1.2e5, so every
+    # stiff mode has dt mu >> 1; only the backward-Euler restart damps them
+    curve = tv_decay_curve(example21, x, 1.0, [1.0, 1e9])
+    assert curve.values[-1] == pytest.approx(0.0, abs=1e-4)
 
 
 def test_tv_decay_rate_matches_spectral_gap(ou):

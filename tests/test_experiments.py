@@ -213,6 +213,14 @@ def test_cli_csv_table_holds_the_json_arrays_bit_for_bit(capsys, argv, header, k
         np.testing.assert_array_equal(column, np.array(payload[key]))
 
 
+def test_cli_classify_ou_far_from_zero(capsys):
+    # the log shape rises by x^2 / 2 = 18 from y = 0 to the mode y = 6;
+    # the ladder must not read that rise as divergence
+    assert cli_main(["classify", "--model", "ou-coupled", "--x", "6"]) == 0
+    d = json.loads(capsys.readouterr().out)
+    assert (d["ergodic"], d["exp_ergodic"], d["strongly_ergodic"]) == ("true", "true", "false")
+
+
 def test_cli_usage_error_exits_2(capsys):
     assert cli_main(["stationary", "--model", "ou-coupled"]) == 2  # missing --x
     assert cli_main(["no-such-command"]) == 2

@@ -206,6 +206,30 @@ def test_extent_is_the_ends_of_the_default_grid(name, x):
     assert ends.tobytes() == default_grid(model, x)[[0, -1]].tobytes()
 
 
+@pytest.mark.parametrize("x", [-1000.0, -6.0, 6.0, 127.0, 1000.0])
+def test_ou_far_from_zero_is_as_accurate_as_at_zero(ou, x):
+    # every frozen law is normal(x, 1); the walks start at its mode, so
+    # moving x moves the grid and leaves the accuracy and the gap alone
+    def error(x):
+        rho = stationary_density(ou, x)
+        return np.max(np.abs(rho.values - gaussian_pdf(rho.grid, x)))
+
+    assert error(x) <= error(0.0)
+    assert stationary._spectral_gap(ou, x) == pytest.approx(1.0, abs=1e-4)
+
+
+@pytest.mark.parametrize("x", [-1e6, -1000.0, 0.3, 127.0, 1e6])
+def test_mode_walk_lands_within_one_fine_panel_of_the_ou_mode(ou, x):
+    ratio, log_gsq = stationary._frozen_axis(ou, x)
+    assert stationary._mode(ratio, log_gsq, ou.fast_domain) == pytest.approx(x, abs=1.0 / 256.0)
+
+
+def test_mode_walk_keeps_the_domain_anchor_when_the_shape_never_turns():
+    repelling = line_model(lambda x, y: y + 1.0, name="repelling")
+    ratio, log_gsq = stationary._frozen_axis(repelling, 0.0)
+    assert stationary._mode(ratio, log_gsq, repelling.fast_domain) == 0.0
+
+
 @pytest.mark.parametrize("where", ["estimated", "on-a-stored-time", "between-stored-times"])
 @pytest.mark.parametrize("store", ["full", "strided"])
 @pytest.mark.parametrize("name, x", [("example21", 0.5), ("ou-coupled", 0.8)])
