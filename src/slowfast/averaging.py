@@ -100,6 +100,14 @@ class AveragedModel:
     interpolation is deliberate: the averaged coefficients are in
     general only Holder continuous between nodes, so a smoother
     interpolant would claim regularity the functions need not have.
+
+    ``drift`` and ``sigma`` are ``np.interp`` on the table.
+    ``drift_and_sigma``, the averaged simulators' lookup, returns both bit
+    for bit from one search of the nodes: a floor division where the grid
+    is uniform enough that it lands at most one panel off, a binary search
+    otherwise, with the slopes computed here as ``np.interp`` computes them.
+    The nodes and their spacing must be finite, which keeps every
+    ``np.interp`` value to its first formula.
     """
 
     source: str
@@ -114,6 +122,8 @@ class AveragedModel:
         grid = np.asarray(self.x_grid, dtype=float)
         if grid.ndim != 1 or grid.size < 2 or not np.all(np.diff(grid) > 0):
             raise ConfigError("x_grid must be increasing with at least two nodes")
+        if not np.all(np.isfinite(np.diff(grid))):
+            raise ConfigError("x_grid nodes and their spacing must be finite")
         fields = {}
         for name in ("b_bar", "a_bar"):
             v = np.asarray(getattr(self, name), dtype=float)
@@ -126,12 +136,66 @@ class AveragedModel:
         for name, v in (("x_grid", grid), *fields.items()):
             v.setflags(write=False)
             object.__setattr__(self, name, v)
+        # the joint lookup's tables: slopes as np.interp computes them, zero past the last node
+        with np.errstate(over="ignore"):  # where np.interp's slopes overflow, silently
+            slopes = [np.append(np.diff(v) / np.diff(grid), 0.0) for v in (fields["b_bar"], fields["sigma_bar"])]
+        object.__setattr__(self, "_panels", tuple(zip(slopes, (fields["b_bar"], fields["sigma_bar"]))))
+        object.__setattr__(self, "_panel_ends", np.append(grid[1:], np.inf))
+        object.__setattr__(self, "_inv_h", _floor_scale(grid))
 
     def drift(self, x):
         return np.interp(x, self.x_grid, self.b_bar)
 
     def sigma(self, x):
         return np.interp(x, self.x_grid, self.sigma_bar)
+
+    def drift_and_sigma(self, x):
+        """``(drift(x), sigma(x))`` bit for bit, NaN included, from one search of the nodes."""
+        x = np.asarray(x, dtype=float)
+        grid = self.x_grid
+        xc = np.maximum(x.reshape(-1), grid[0])  # NaN stays NaN
+        np.minimum(xc, grid[-1], out=xc)
+        # j: the panel grid[j] <= xc < grid[j + 1], or the last node at it or for NaN
+        if self._inv_h is None:
+            j = np.searchsorted(grid, xc, "right") - 1
+        else:
+            j = _floor_guess(xc, grid, self._inv_h)
+            j -= grid.take(j) > xc
+            j += self._panel_ends.take(j) <= xc
+        d = xc - grid.take(j)
+        at_node = d == 0.0  # np.interp returns the node value itself there
+        out = []
+        for slope, values in self._panels:
+            yj = values.take(j)
+            v = slope.take(j)
+            v *= d
+            v += yj
+            np.copyto(v, yj, where=at_node)
+            out.append(v.reshape(x.shape))
+        return tuple(out)
+
+
+def _floor_guess(x, grid, inv_h):
+    """floor((x - x0) / h) on x >= x0, capped at the last node, which also takes NaN."""
+    return np.fmin((x - grid[0]) * inv_h, float(grid.size - 1)).astype(np.intp)
+
+
+def _floor_scale(grid):
+    """1/h when ``_floor_guess`` lands within one panel of every x on the grid, else None.
+
+    The guess and the panel holding x both rise with x, so it is enough
+    that the guess at each node is at least its panel minus one and the
+    guess just below the next node at most its panel plus one.
+    """
+    inv_h = (grid.size - 1) / (float(grid[-1]) - float(grid[0]))
+    if not 0.0 < inv_h < np.inf:
+        return None
+    nodes = np.arange(grid.size)
+    below_next = np.nextafter(grid[1:], -np.inf)
+    if (np.all(_floor_guess(grid, grid, inv_h) >= nodes - 1)
+            and np.all(_floor_guess(below_next, grid, inv_h) <= nodes[:-1] + 1)):
+        return inv_h
+    return None
 
 
 def build_averaged_model(model: ModelSpec, x_grid) -> AveragedModel:

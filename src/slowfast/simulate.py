@@ -15,20 +15,26 @@ Randomness
 Every path owns counter-based streams keyed by (seed, path index,
 equation tag, variant) through Philox. The key layout makes ensembles
 bit-identical at any chunking and worker count (``workers > 1`` runs whole
-chunks in forked processes, at most one per chunk and usable core). A
-simulator names only the (equation tag, variant) keys of its noise; the
-shared loop draws them for each chunk in time blocks of at most 16 MiB per
-noise array, continuing each path's stream from block to block, so its
-memory does not grow with horizon/epsilon and the draws are those of one
-full-length call. ``simulate_paired`` steps an averaged path inside the
-coupled loop on the coupled run's own slow draws, summed over each slow
-step, which makes pathwise comparisons of the two equations meaningful.
+chunks in forked processes, at most one per chunk and usable core). The
+Philox keys of a chunk's paths are hashed together, in uint32 arithmetic
+over the chunk, to the bits numpy's SeedSequence gives each path alone
+(``path_stream``). A simulator names only the (equation tag, variant)
+keys of its noise; the shared loop draws them for each chunk in time
+blocks of at most 16 MiB per noise array, continuing each path's stream
+from block to block, so its memory does not grow with horizon/epsilon and
+the draws are those of one full-length call. The state is checked for
+finiteness once per block; a block that fails is replayed step by step,
+so a blow-up is still reported at its first path and step.
+``simulate_paired`` steps an averaged path inside the coupled loop on the
+coupled run's own slow draws, summed over each slow step, which makes
+pathwise comparisons of the two equations meaningful.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import numbers
+import operator
 import os
 import pickle
 import threading
@@ -56,10 +62,16 @@ _STIFFNESS_GUARD = 0.1
 _BLOCK_BYTES = 16 << 20
 # the live streams of the chunk this thread integrates, by stream key
 _LIVE = threading.local()
+# numpy SeedSequence's hash constants; path indices below 2**32 are one
+# entropy word each, so all paths of a chunk hash the same word layout
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+_MAX_PATHS = 1 << 32
 
 
 def path_stream(seed, path_index, equation_tag, variant=0):
-    """Counter-based generator for one (path, equation) pair."""
+    """Counter-based generator for one (path, equation) pair; ``_draw_rows`` builds the same a chunk at a time."""
     ss = np.random.SeedSequence(entropy=(seed, path_index, equation_tag, variant))
     return np.random.Generator(np.random.Philox(ss))
 
@@ -77,7 +89,7 @@ class SimConfig:
     horizon : float
         Final time T; must exceed dt.
     n_paths : int
-        Ensemble size.
+        Ensemble size, at most 2**32.
     seed : int
         Root of every stream key; nonnegative.
     store : str
@@ -123,6 +135,8 @@ class SimConfig:
             raise ConfigError("dt must be smaller than horizon")
         if self.n_paths < 1:
             raise ConfigError("n_paths must be at least 1")
+        if self.n_paths > _MAX_PATHS:
+            raise ConfigError("n_paths must be at most 2**32")
         if self.store not in _STORE_MODES:
             raise ConfigError(f"store must be one of {_STORE_MODES}")
         if self.store == "strided" and self.stride < 1:
@@ -171,16 +185,82 @@ class Ensemble:
         return self.slow[:, -1]
 
 
+def _words(n):
+    """The 32-bit words of a nonnegative integer, low first, as SeedSequence splits its entropy."""
+    n = operator.index(n)
+    if n < 0:
+        raise ValueError("expected non-negative integer")
+    words = [n & _MASK32]
+    while n > _MASK32:
+        n >>= 32
+        words.append(n & _MASK32)
+    return words
+
+
+def _hasher(const, mult):
+    """SeedSequence's hashmix on uint32 arrays; its multiplier advances call by call."""
+    def hashmix(v):
+        nonlocal const
+        v = v ^ np.uint32(const)
+        const = const * mult & _MASK32
+        v = v * np.uint32(const)
+        return v ^ (v >> 16)
+    return hashmix
+
+
+def _chunk_keys(seed, p0, p1, tag, variant):
+    """The Philox keys of ``path_stream(seed, p, tag, variant)`` for p in p0..p1-1, shape (p1 - p0, 2).
+
+    Replays SeedSequence's entropy pool and ``generate_state(2, uint64)``
+    on one uint32 array per entropy word, over the chunk's paths; only the
+    path index word varies. Each path index must be one word: p1 <= 2**32.
+    """
+    if not 0 <= p0 <= p1 <= _MAX_PATHS:
+        raise ValueError(f"paths {p0}..{p1} outside 0..2**32")
+    n = p1 - p0
+    entropy = ([np.full(n, w, np.uint32) for w in _words(seed)]
+               + [np.arange(p0, p1, dtype=np.int64).astype(np.uint32)]
+               + [np.full(n, w, np.uint32) for w in _words(tag) + _words(variant)])
+    hashmix = _hasher(_INIT_A, _MULT_A)
+
+    def mix(x, y):
+        r = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
+        return r ^ (r >> 16)
+
+    # the four words always fill the pool, which then absorbs the rest
+    pool = [hashmix(w) for w in entropy[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for w in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(w))
+    out = _hasher(_INIT_B, _MULT_B)
+    lo0, hi0, lo1, hi1 = (out(w).astype(np.uint64) for w in pool)
+    return np.stack([lo0 | hi0 << 32, lo1 | hi1 << 32], axis=1)
+
+
+class _Key(np.random.bit_generator.ISeedSequence):
+    """Seeds a Philox with a key hashed beforehand, without a SeedSequence of its own."""
+
+    def __init__(self, key):
+        self.key = key
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.key
+
+
 def _draw_rows(seed, p0, p1, tag, variant, n_draws):
     """The next ``n_draws`` normals of paths p0..p1-1, one row per path: inside
     a chunk its streams run on from the previous block, outside one they start fresh."""
     live = getattr(_LIVE, "streams", {})
+    key = (seed, p0, p1, tag, variant)
+    if key not in live:
+        live[key] = [np.random.Generator(np.random.Philox(_Key(k))) for k in _chunk_keys(*key)]
     out = np.empty((p1 - p0, n_draws))
-    for i, p in enumerate(range(p0, p1)):
-        key = (seed, p, tag, variant)
-        if key not in live:
-            live[key] = path_stream(*key)
-        live[key].standard_normal(n_draws, out=out[i])
+    for stream, row in zip(live[key], out):
+        stream.standard_normal(n_draws, out=row)
     return out
 
 
@@ -240,13 +320,17 @@ def _euler_loop(config, stored, n_sub, streams, initial, step, workers=1):
     most ``_BLOCK_BYTES`` per array. ``initial`` holds one float per state
     component, every path starting there. ``step(state, j, noise)`` returns
     the state after the block's j-th step (from 1), reading column j - 1 of
-    each noise array; every component it replaces is checked for finiteness.
-    Each component is stored at the slow step indices ``stored``
-    (increasing), each slow step spanning ``n_sub`` loop steps; nothing is
-    allocated for the others. With ``workers > 1`` whole chunks run in a
-    fork-context process pool and come back in chunk order, so results and
-    errors are the serial loop's. Returns the stored times and one (n_paths,
-    n_stored) array per state component.
+    each noise array. A non-finite value stays non-finite through an Euler
+    step (x plus an increment, reflected), so the state is checked once per
+    block; a block that ends non-finite, or raises, is replayed from its
+    start state on the same noise with ``_check_finite`` on every component
+    each step replaces, which raises what a per-step check would have
+    raised. Each component is stored at the slow step indices
+    ``stored`` (increasing), each slow step spanning ``n_sub`` loop steps;
+    nothing is allocated for the others. With ``workers > 1`` whole chunks
+    run in a fork-context process pool and come back in chunk order, so
+    results and errors are the serial loop's. Returns the stored times and
+    one (n_paths, n_stored) array per state component.
     """
     store_at = {int(j) * n_sub: k for k, j in enumerate(stored)}
     n_steps = config.n_slow_steps() * n_sub
@@ -255,26 +339,39 @@ def _euler_loop(config, stored, n_sub, streams, initial, step, workers=1):
 
     def run(p0, p1, rows, r0):
         block = max(1, _BLOCK_BYTES // (8 * (p1 - p0) * n_sub)) * n_sub
-        state = tuple(np.full(p1 - p0, float(v)) for v in initial)
-        _LIVE.streams = {}
-        try:
-            for k in range(n_steps + 1):
-                if k > 0:
-                    j = (k - 1) % block + 1
-                    if j == 1:
-                        noise = None  # release the old block before drawing the next
-                        n = min(block, n_steps - k + 1)
-                        noise = tuple(_draw_rows(config.seed, p0, p1, tag, variant, n)
-                                      for tag, variant in streams)
-                    new = step(state, j, noise)
+
+        def put(k, state):
+            col = store_at.get(k)
+            if col is not None:
+                for o, v in zip(rows, state):
+                    o[r0:r0 + p1 - p0, col] = v
+
+        def advance(state, k0, n, noise, checked):
+            # loop steps k0 + 1 .. k0 + n, the block's columns 0 .. n - 1
+            for j in range(1, n + 1):
+                new = step(state, j, noise)
+                if checked:
                     for v, old in zip(new, state):
                         if v is not old:
-                            _check_finite(v, k, p0)
-                    state = new
-                col = store_at.get(k)
-                if col is not None:
-                    for o, v in zip(rows, state):
-                        o[r0:r0 + p1 - p0, col] = v
+                            _check_finite(v, k0 + j, p0)
+                state = new
+                put(k0 + j, state)
+            return state
+
+        state = tuple(np.full(p1 - p0, float(v)) for v in initial)
+        put(0, state)
+        _LIVE.streams = {}
+        try:
+            for k0 in range(0, n_steps, block):
+                n = min(block, n_steps - k0)
+                noise = None  # release the old block before drawing the next
+                noise = tuple(_draw_rows(config.seed, p0, p1, tag, variant, n) for tag, variant in streams)
+                try:
+                    new = advance(state, k0, n, noise, False)
+                    clean = all(np.isfinite(v).all() for v in new)
+                except Exception:
+                    clean = False  # an error after an unchecked blow-up must not hide it
+                state = new if clean else advance(state, k0, n, noise, True)
         finally:
             del _LIVE.streams
         return rows
@@ -299,7 +396,8 @@ def _euler_loop(config, stored, n_sub, streams, initial, step, workers=1):
 
 
 def _averaged_step(avg, x, dt, dw):
-    return avg.slow_domain.reflect(x + avg.drift(x) * dt + avg.sigma(x) * dw)
+    drift, sigma = avg.drift_and_sigma(x)
+    return avg.slow_domain.reflect(x + drift * dt + sigma * dw)
 
 
 def _coupled(model: ModelSpec, config: SimConfig, workers, avg=None):
@@ -423,7 +521,8 @@ def simulate_averaged(avg, config: SimConfig, variant=0, workers=1) -> Ensemble:
     Parameters
     ----------
     avg : object
-        Anything exposing vectorized ``drift(x)`` and ``sigma(x)`` plus a
+        Anything exposing ``drift_and_sigma(x)``, the pair (bbar(x),
+        sigmabar(x)) on an array of slow states, NaN included, plus a
         ``slow_domain`` (an AveragedModel, or a ModelSpec-free stub).
     variant : int
         Sub-seed for independent copies (noise-floor estimates).

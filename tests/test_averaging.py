@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from dataclasses import replace
+from hypothesis import given, settings, strategies as st
 
 from slowfast import (
     AveragedModel,
@@ -165,3 +166,59 @@ def test_averaged_model_validation():
             slow_domain=StateDomain(FULL_LINE),
             method="analytic",
         )
+    # a node at infinity has no finite slope to interpolate on
+    for bad in ([0.0, 1.0, np.inf], [-np.inf, 0.0]):
+        with pytest.raises(ConfigError, match="spacing must be finite"):
+            AveragedModel(source="m", x_grid=np.array(bad), b_bar=np.zeros(len(bad)), a_bar=np.ones(len(bad)),
+                          slow_domain=StateDomain(FULL_LINE), method="analytic")
+    # finite spacing over a span too wide to subtract: the binary search, still np.interp's bits
+    wide = np.array([-1e308, 0.0, 1e308, 1.7e308])
+    avg = AveragedModel(source="m", x_grid=wide, b_bar=np.array([1.0, -2.0, 3.0, 0.5]), a_bar=np.arange(1.0, 5.0),
+                        slow_domain=StateDomain(FULL_LINE), method="analytic")
+    assert avg._inv_h is None
+    x = np.array([-np.inf, -1e308, -3e307, 0.0, 5e307, 1e308, 1.2e308, 1.7e308, np.inf, np.nan])
+    drift, sigma = avg.drift_and_sigma(x)
+    np.testing.assert_array_equal(drift, avg.drift(x))
+    np.testing.assert_array_equal(sigma, avg.sigma(x))
+
+
+def _table_grid(kind, n, lo, span, rng):
+    if kind == "linspace":
+        return np.linspace(lo, lo + span, n)
+    if kind == "geometric":
+        return lo + np.geomspace(span * 1e-6, span, n)
+    # jittered: each inner node moved by up to 0.45 of a panel, so the order holds
+    grid = np.linspace(lo, lo + span, n)
+    grid[1:-1] += rng.uniform(-0.45, 0.45, n - 2) * (span / (n - 1))
+    return grid
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    kind=st.sampled_from(["linspace", "geometric", "jittered"]),
+    n=st.integers(2, 1025),
+    lo=st.floats(-1e3, 1e3),
+    span=st.floats(1e-2, 1e4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_joint_lookup_is_np_interp_bit_for_bit(kind, n, lo, span, seed):
+    rng = np.random.default_rng(seed)
+    grid = _table_grid(kind, n, lo, span, rng)
+    b_bar = rng.normal(0.0, 10.0, n)
+    b_bar[rng.integers(n)] = -0.0  # np.interp returns a node's own value, sign of zero included
+    avg = AveragedModel(source="m", x_grid=grid, b_bar=b_bar, a_bar=rng.uniform(0.1, 10.0, n),
+                        slow_domain=StateDomain(FULL_LINE), method="analytic")
+    if kind == "linspace":
+        assert avg._inv_h is not None  # the floor-division search, not the binary one
+    x = np.concatenate([
+        grid, np.nextafter(grid, -np.inf), np.nextafter(grid, np.inf),
+        rng.uniform(lo - span, lo + 2.0 * span, 500),
+        [lo - span, lo + 2.0 * span, np.nan, np.inf, -np.inf],
+    ])
+    # NaN reaches the lookup after a blow-up: no cast warning (pytest turns warnings into errors)
+    drift, sigma = avg.drift_and_sigma(x)
+    for got, want in ((drift, avg.drift(x)), (sigma, avg.sigma(x))):
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+    scalar = avg.drift_and_sigma(grid[-1])
+    assert scalar == (avg.drift(grid[-1]), avg.sigma(grid[-1]))

@@ -8,7 +8,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from slowfast import (
     AveragedModel,
@@ -26,7 +26,7 @@ from slowfast import (
 )
 from slowfast.models import FULL_LINE, StateDomain
 from slowfast import simulate as simulate_module
-from slowfast.simulate import EQ_FAST, EQ_SLOW, _draw_rows, _pool_size, frozen_pair_gap, path_stream
+from slowfast.simulate import EQ_FAST, EQ_SLOW, _chunk_keys, _draw_rows, _pool_size, frozen_pair_gap, path_stream
 
 
 def flat_brownian(span=200.0):
@@ -63,6 +63,34 @@ def test_path_stream_reproducible_and_separated():
     d = path_stream(seed=5, path_index=17, equation_tag=EQ_SLOW, variant=1).standard_normal(8)
     assert not np.array_equal(a, c)
     assert not np.array_equal(a, d)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.one_of(st.just(0), st.integers(1, 2**32 - 1), st.integers(2**32, 2**63 - 1)),
+    tag=st.integers(0, 2),
+    variant=st.integers(0, 3),
+    p0=st.one_of(st.just(0), st.integers(0, 2**32 - 5)),
+    n=st.integers(1, 5),
+)
+@example(seed=2**63 - 1, tag=2, variant=3, p0=2**32 - 5, n=5)  # the last path index there is
+def test_chunk_keys_and_streams_are_path_streams(seed, tag, variant, p0, n):
+    keys = _chunk_keys(seed, p0, p0 + n, tag, variant)
+    for p, key in zip(range(p0, p0 + n), keys):
+        np.testing.assert_array_equal(key, np.random.SeedSequence(entropy=(seed, p, tag, variant))
+                                      .generate_state(2, np.uint64))
+    rows = _draw_rows(seed, p0, p0 + n, tag, variant, 7)
+    for p, row in zip(range(p0, p0 + n), rows):
+        np.testing.assert_array_equal(row, path_stream(seed, p, tag, variant).standard_normal(7))
+
+
+def test_path_indices_are_one_entropy_word():
+    # from 2**32 on a path index would be two words; no ensemble is that large
+    SimConfig(epsilon=1.0, dt=0.1, horizon=1.0, n_paths=2**32, seed=0)
+    with pytest.raises(ConfigError, match="n_paths must be at most 2\\*\\*32"):
+        SimConfig(epsilon=1.0, dt=0.1, horizon=1.0, n_paths=2**32 + 1, seed=0)
+    with pytest.raises(ValueError, match="outside"):
+        _chunk_keys(0, 2**32 - 1, 2**32 + 1, EQ_SLOW, 0)
 
 
 def test_averaged_integrator_is_brownian_for_flat_coefficients():
@@ -239,6 +267,18 @@ def test_terminal_storage_is_single_column(ou, small_config):
     np.testing.assert_allclose(ens.times, [small_config.horizon])
 
 
+def strict_cubic_model():
+    # cubic_blowup_model with a drift that refuses non-finite input, as a
+    # coefficient may: a loop that runs on past a blow-up meets this error
+    def b(x, y):
+        if not np.all(np.isfinite(x)):
+            raise ValueError("non-finite slow state")
+        return x ** 3
+
+    base = cubic_blowup_model()
+    return replace(base, coefficients=replace(base.coefficients, b=b))
+
+
 def cubic_fast_model():
     # the frozen fast drift y^3 explodes in finite time, first on the paths
     # whose noise pushes y away from zero
@@ -254,6 +294,15 @@ def cubic_fast_model():
         (
             lambda: simulate_coupled(
                 cubic_blowup_model(),
+                SimConfig(epsilon=0.5, dt=0.05, horizon=5.0, n_paths=2, seed=0, x0=5.0, y0=0.0),
+            ),
+            0,
+            13,
+        ),
+        # an error raised after the blow-up in the same noise block does not hide it
+        (
+            lambda: simulate_coupled(
+                strict_cubic_model(),
                 SimConfig(epsilon=0.5, dt=0.05, horizon=5.0, n_paths=2, seed=0, x0=5.0, y0=0.0),
             ),
             0,
@@ -283,7 +332,7 @@ def cubic_fast_model():
             13,
         ),
     ],
-    ids=["coupled", "frozen", "frozen-before-burn-in"],
+    ids=["coupled", "error-after-blowup", "frozen", "frozen-before-burn-in"],
 )
 def test_blowup_raises_with_step_context(run, path_index, step):
     with pytest.raises(BlowUpError, match="non-finite") as info:
@@ -446,6 +495,22 @@ def test_blowup_in_a_later_block_names_the_same_path_and_step(monkeypatch):
                 run(workers)
             assert (info.value.path_index, info.value.step) == where
             assert multiprocessing.active_children() == []
+
+
+def test_huge_finite_states_are_not_a_blowup(monkeypatch):
+    # x stays at 1.5e308, which the noise cannot move and any two of which sum
+    # to infinity: the per-block check must neither fail nor replay
+    base = cubic_blowup_model()
+    still = replace(base, coefficients=replace(base.coefficients, b=lambda x, y: 0.0))
+    checks = []
+    monkeypatch.setattr(simulate_module, "_check_finite", lambda *args: checks.append(args))
+    cfg = SimConfig(epsilon=0.1, dt=0.01, horizon=0.5, n_paths=9, seed=4, x0=1.5e308, y0=0.0,
+                    chunk_size=4, store="full")
+    coupled, paired = simulate_paired(still, flat_brownian(), cfg)
+    for ens in (coupled, paired):
+        np.testing.assert_array_equal(ens.slow, np.full((9, 51), 1.5e308))
+    assert np.all(np.isfinite(coupled.fast))
+    assert checks == []
 
 
 def test_no_stream_outlives_its_run(ou):
