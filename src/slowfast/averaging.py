@@ -6,6 +6,10 @@ pi^x(dy) and abar(x) = int a(x, y) pi^x(dy), with sigmabar = sqrt(abar).
 Both integrals are Simpson quadratures on the stationary grid; numerator
 and denominator share the grid, so the trapezoid normalization of the
 stored density cancels exactly instead of polluting the average.
+First ``numerics.check_tail_decays`` judges the integrand at the open
+ends of the fast domain (a reflecting wall has no tail): mass still
+growing there raises InfiniteMomentError naming the coefficient, and in
+a build the node.
 
 Continuity of x -> bbar(x) is not automatic even when x -> pi^x is
 continuous in total variation: an unbounded integrand can ride on the
@@ -22,10 +26,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateDiffusionError, InfiniteMomentError, SlowfastError
+from .errors import ConfigError, DegenerateDiffusionError, SlowfastError
 from .metrics import measure_distance
 from .models import ModelSpec, StateDomain
-from .numerics import extrapolate_to_zero, fit_power_law, simpson_ratio
+from .numerics import check_tail_decays, extrapolate_to_zero, fit_power_law, simpson_ratio
 from .stationary import stationary_density
 
 TV_REFERENCE_EXPONENT = 2.0 / 3.0
@@ -33,47 +37,24 @@ _BOUND_SLACK = 1e-9
 # how far the fitted exponent may sit below the reference before the
 # relation is called unsatisfied
 _EXPONENT_TOL = 0.05
-# a tail is called divergent when this many trailing panel masses fail to
-# decay while still carrying weight relative to the whole integral
-_TAIL_PANELS = 6
-_TAIL_WEIGHT = 1e-9
 
 
-def _check_integrand_tail(grid, integrand, domain):
-    """Reject expectation integrands whose mass is still growing at an open end."""
-    panels = 0.5 * np.abs(integrand[1:] + integrand[:-1]) * np.diff(grid)
-    total = float(np.sum(panels))
-    if total == 0.0:
-        return
-    for tail in (
-        panels[-_TAIL_PANELS:] if not domain.bounded_above else None,
-        panels[:_TAIL_PANELS][::-1] if not domain.bounded_below else None,
-    ):
-        if tail is None or tail.size < _TAIL_PANELS:
-            continue
-        # tolerance so a flat integrand wobbling at roundoff still counts
-        if np.all(np.diff(tail) >= -1e-9 * np.abs(tail[:-1])) and float(
-            tail[-1]
-        ) > _TAIL_WEIGHT * total:
-            raise InfiniteMomentError(
-                "integrand mass does not decay toward the domain end; "
-                "the averaged coefficient does not exist"
-            )
-
-
-def _expectation(model, rho, factor):
+def _expectation(model, rho, factor, what):
     """int factor(y) rho(dy) by Simpson quadrature on the density's grid; a constant broadcasts."""
     values = np.broadcast_to(np.asarray(factor(rho.grid), dtype=float), rho.grid.shape)
-    _check_integrand_tail(rho.grid, values * rho.values, model.fast_domain)
+    dom = model.fast_domain
+    check_tail_decays(rho.grid, values * rho.values, not dom.bounded_below, not dom.bounded_above, what)
     return simpson_ratio(values * rho.values, rho.values, rho.grid)
 
 
 def _drift_mean(model, x, rho):
-    return _expectation(model, rho, lambda y: model.coefficients.b(x, y))
+    return _expectation(model, rho, lambda y: model.coefficients.b(x, y), "the averaged drift")
 
 
 def _squared_dispersion_mean(model, x, rho):
-    abar = _expectation(model, rho, lambda y: model.coefficients.sigma(x, y) ** 2)
+    abar = _expectation(
+        model, rho, lambda y: model.coefficients.sigma(x, y) ** 2, "the averaged squared dispersion"
+    )
     if not abar > 0.0:
         raise DegenerateDiffusionError(
             f"averaged squared dispersion {abar!r} at x={x!r} is not positive"
@@ -229,7 +210,7 @@ def build_averaged_model(model: ModelSpec, x_grid) -> AveragedModel:
             b = float(drift_fn(x)) if drift_fn is not None else _drift_mean(model, x, rho)
             a = float(diff_fn(x)) if diff_fn is not None else _squared_dispersion_mean(model, x, rho)
         except SlowfastError as err:
-            raise type(err)(f"averaged coefficients failed at node x={x!r}: {err}") from err
+            raise type(err)(f"averaged coefficients failed at node x={float(x)!r}: {err}") from err
         return b, a
 
     rows = [node(x) for x in grid]

@@ -3,8 +3,9 @@
 Small, model-free helpers used across the package: fixed-order
 Gauss-Legendre panels for cumulative integrals, overflow-safe log-domain
 trapezoid sums, weight-equidistributed grids, an exponentially fitted 1-D
-forward operator, mirror reflection, and the least-squares fits used by
-the decay and Holder studies.
+forward operator, mirror reflection, the least-squares fits used by the
+decay and Holder studies, and ``check_tail_decays``, the one judge of
+whether an integral against a tabulated law has a tail that decays.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from numpy.polynomial.legendre import leggauss
 from scipy.integrate import cumulative_trapezoid, simpson
 from scipy.special import logsumexp
 
-from .errors import FitError
+from .errors import FitError, InfiniteMomentError
 
 _GL_NODES, _GL_WEIGHTS = leggauss(10)
 
@@ -143,6 +144,27 @@ def simpson_ratio(numerator, denominator, grid):
     num = simpson(numerator, x=grid)
     den = simpson(denominator, x=grid)
     return num / den
+
+
+def check_tail_decays(grid, integrand, lower, upper, what):
+    """Raise InfiniteMomentError naming ``what`` if the integrand's mass grows at an open end.
+
+    ``lower`` and ``upper`` say which ends are open; a wall has no tail. An
+    open end fails when its last six trapezoid panel masses
+    |v_i + v_{i+1}| h_i / 2 never shrink outward by more than 1e-9 relative
+    and the outermost holds more than 1e-9 of the total. Mass, not height,
+    is what truncation loses. Grids of fewer than seven nodes pass.
+    """
+    panels = 0.5 * np.abs(integrand[1:] + integrand[:-1]) * np.diff(grid)
+    total = float(np.sum(panels))
+    if total == 0.0 or panels.size < 6:
+        return
+    for is_open, end, tail in ((upper, "upper", panels[-6:]), (lower, "lower", panels[5::-1])):
+        # tolerance so a flat integrand wobbling at roundoff still counts
+        if is_open and np.all(np.diff(tail) >= -1e-9 * tail[:-1]) and tail[-1] > 1e-9 * total:
+            raise InfiniteMomentError(
+                f"{what} is undefined: the integrand's mass does not decay toward the {end} end"
+            )
 
 
 def reflect_fold(values, lower=None, upper=None):

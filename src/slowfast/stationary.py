@@ -44,9 +44,9 @@ import numpy as np
 from scipy.integrate import cumulative_trapezoid, quad, trapezoid
 from scipy.linalg import eigh_tridiagonal
 
-from .errors import ConfigError, DegenerateDiffusionError, InfiniteMomentError, NotPositiveRecurrentError
+from .errors import ConfigError, DegenerateDiffusionError, NotPositiveRecurrentError
 from .models import FULL_LINE, INTERVAL, ModelSpec, _evaluate
-from .numerics import _flux_operator, cumulative_gauss, curvature_weight, equidistribute, gauss_panels, log_trapezoid
+from .numerics import _flux_operator, check_tail_decays, cumulative_gauss, curvature_weight, equidistribute, gauss_panels, log_trapezoid
 from .simulate import SimConfig, simulate_frozen
 
 DEFAULT_GRID_POINTS = 4096
@@ -343,17 +343,18 @@ def stationary_density(model: ModelSpec, x, grid=None) -> Density1D:
 def moment(measure, k) -> float:
     """k-th moment: trapezoid rule for densities, sample mean for samples.
 
-    Raises InfiniteMomentError when the density integrand is still growing
-    at the edge of the grid, which signals a divergent tail rather than a
-    resolvable value.
+    Raises InfiniteMomentError when the mass of y^k rho still grows at the
+    upper end of the grid (``numerics.check_tail_decays``): a divergent
+    tail, not a resolvable value. Only the upper end is judged, since a
+    half-line's reflecting wall, where y^k rho may peak, is its lower end
+    and a density does not record whether it has one; so a divergent lower
+    tail goes unreported.
     """
     if isinstance(measure, EmpiricalMeasure):
         return float(np.mean(measure.samples**k))
     d = measure
     integrand = d.grid**k * d.values
-    tail = np.abs(integrand[-6:])
-    if np.all(np.diff(tail) >= 0.0) and tail[-1] > 1e-9 * np.abs(integrand).max():
-        raise InfiniteMomentError(f"moment of order {k} has a non-decaying tail")
+    check_tail_decays(d.grid, integrand, False, True, f"the moment of order {k}")
     return float(trapezoid(integrand, d.grid))
 
 

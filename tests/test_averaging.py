@@ -16,7 +16,7 @@ from slowfast import (
     discontinuity_probe,
     holder_fit,
 )
-from slowfast.models import FULL_LINE, StateDomain
+from slowfast.models import FULL_LINE, HALF_LINE, StateDomain
 
 
 def ou_like(b, sigma=None, name="adhoc-ou"):
@@ -132,8 +132,32 @@ def test_averaged_drift_requires_integrable_integrand():
         b=lambda x, y: np.exp(np.minimum(y ** 2 / 2.0, 700.0)),
         name="first-moment-diverges",
     )
-    with pytest.raises(InfiniteMomentError):
+    with pytest.raises(InfiniteMomentError, match="^the averaged drift is undefined"):
         averaged_drift(grower, 0.0)
+    grower = ou_like(
+        b=lambda x, y: 0.0,
+        sigma=lambda x, y: np.exp(np.minimum(y ** 2 / 4.0, 350.0)),
+        name="second-moment-diverges",
+    )
+    with pytest.raises(InfiniteMomentError, match="^the averaged squared dispersion is undefined"):
+        averaged_diffusion(grower, 0.0)
+
+
+def test_averaged_drift_does_not_judge_a_reflecting_wall():
+    # pi is the exponential law above the wall at 5, largest at the wall, so
+    # b(y) = y has mass that grows toward 5; a wall holds no tail
+    walled = ModelSpec(
+        name="wall-at-five",
+        coefficients=CoefficientSet(
+            b=lambda x, y: y,
+            sigma=lambda x, y: 1.0,
+            f=lambda x, y: -1.0,
+            g=lambda x, y: np.sqrt(2.0),
+        ),
+        slow_domain=StateDomain(FULL_LINE),
+        fast_domain=StateDomain(HALF_LINE, 5.0),
+    )
+    assert averaged_drift(walled, 0.0) == pytest.approx(6.0, abs=1e-6)
 
 
 def test_vanishing_dispersion_rejected():
@@ -151,7 +175,7 @@ def test_build_failure_names_the_node():
         b=lambda x, y: np.exp(np.minimum(y ** 2 / 2.0, 700.0)),
         name="first-moment-diverges",
     )
-    with pytest.raises(InfiniteMomentError, match="node x="):
+    with pytest.raises(InfiniteMomentError, match="node x=0.0: the averaged drift is undefined"):
         build_averaged_model(grower, np.linspace(0.0, 1.0, 5))
 
 

@@ -94,8 +94,16 @@ def test_w1_rejects_unresolved_tail_mass():
     y = np.linspace(-400.0, 400.0, 4001)
     heavy = Density1D.from_unnormalized(y, 1.0 / (1.0 + np.abs(y)))
     light = Density1D.from_unnormalized(y, np.exp(-0.5 * y * y))
-    with pytest.raises(InfiniteMomentError):
+    with pytest.raises(InfiniteMomentError, match="^W1 is undefined"):
         w1_distance(heavy, light)
+    # on a geometric grid the node heights of |y| rho ~ 1/y fall toward the
+    # edge while the panel masses grow: the guard must count mass
+    y = np.geomspace(1e-3, 400.0, 4001)
+    heavy = Density1D.from_unnormalized(y, (1.0 + y) ** -2.0)
+    light = Density1D.from_unnormalized(y, np.exp(-0.5 * y * y))
+    for p, q in ((heavy, light), (light, heavy)):
+        with pytest.raises(InfiniteMomentError, match="^W1 is undefined"):
+            w1_distance(p, q)
 
 
 def test_measure_distance_reports(ou):

@@ -1,0 +1,67 @@
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from slowfast import InfiniteMomentError
+from slowfast.numerics import check_tail_decays
+
+
+def raises(grid, integrand, lower, upper):
+    try:
+        check_tail_decays(grid, integrand, lower, upper, "the test integral")
+    except InfiniteMomentError as err:
+        assert str(err).startswith("the test integral is undefined")
+        return True
+    return False
+
+
+def shaped(values, shape):
+    v = np.asarray(values, dtype=float)
+    if shape == "increasing":
+        return np.sort(np.abs(v))
+    if shape == "decreasing":
+        return np.sort(np.abs(v))[::-1]
+    if shape == "valley":
+        s = np.sort(np.abs(v))
+        return np.concatenate([s[::-2], s[v.size % 2 :: 2]])
+    return v
+
+
+cases = st.integers(2, 24).flatmap(
+    lambda n: st.tuples(
+        st.floats(-50.0, 50.0),
+        st.lists(st.floats(1e-3, 10.0), min_size=n - 1, max_size=n - 1),
+        st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n),
+        st.sampled_from(["raw", "increasing", "decreasing", "valley"]),
+        st.booleans(),
+        st.booleans(),
+    )
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cases)
+def test_tail_decision_is_mirror_symmetric(case):
+    start, widths, values, shape, lower, upper = case
+    grid = start + np.concatenate([[0.0], np.cumsum(widths)])
+    integrand = shaped(values, shape)
+    # y -> -y reverses the grid and turns the lower end into the upper end
+    assert raises(grid, integrand, lower, upper) == raises(-grid[::-1], integrand[::-1], upper, lower)
+
+
+@pytest.mark.parametrize(
+    "integrand, lower, upper, expected",
+    [
+        (np.ones(8), True, False, True),
+        (np.ones(8), False, False, False),
+        (np.arange(8.0), True, False, False),
+        (np.arange(8.0), False, True, True),
+        (np.exp(-np.arange(8.0)), True, True, True),
+        (np.exp(-np.abs(np.arange(8.0) - 3.5)), True, True, False),
+        (np.ones(6), True, True, False),
+        (np.zeros(8), True, True, False),
+    ],
+    ids=["flat", "flat-walls", "rising-lower", "rising-upper", "falling", "peaked", "six-nodes", "zero"],
+)
+def test_tail_decision_judges_only_the_open_ends(integrand, lower, upper, expected):
+    assert raises(np.arange(integrand.size, dtype=float), integrand, lower, upper) == expected

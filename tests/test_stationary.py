@@ -6,6 +6,7 @@ import pytest
 from slowfast import (
     CoefficientSet,
     ConfigError,
+    InfiniteMomentError,
     ModelSpec,
     NotPositiveRecurrentError,
     SimConfig,
@@ -77,6 +78,22 @@ def test_moments_example21(example21):
     # mixture mean: 0.25 * (1/x) * 2 ... at x=0.5 the component means are 2 and 1
     rho = stationary_density(example21, 0.5)
     assert moment(rho, 1) == pytest.approx(0.25 * 4.0 + 0.5 * 1.0, abs=1e-5)
+
+
+@pytest.mark.parametrize(
+    "grid, a, k",
+    [
+        (np.linspace(0.0, 400.0, 4001), 1.0, 1),
+        # node heights of y rho fall toward the edge, panel masses do not
+        (np.geomspace(1e-3, 400.0, 4001), 2.0, 1),
+        (np.geomspace(1e-3, 400.0, 4001), 3.0, 2),
+    ],
+    ids=["uniform-a1", "geometric-a2", "geometric-a3-second"],
+)
+def test_moment_rejects_a_heavy_upper_tail(grid, a, k):
+    rho = Density1D.from_unnormalized(grid, (1.0 + grid) ** -a)
+    with pytest.raises(InfiniteMomentError, match=f"^the moment of order {k} is undefined"):
+        moment(rho, k)
 
 
 def test_moment_on_samples():
