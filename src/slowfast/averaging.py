@@ -6,10 +6,10 @@ pi^x(dy) and abar(x) = int a(x, y) pi^x(dy), with sigmabar = sqrt(abar).
 Both integrals are Simpson quadratures on the stationary grid; numerator
 and denominator share the grid, so the trapezoid normalization of the
 stored density cancels exactly instead of polluting the average.
-First ``numerics.check_tail_decays`` judges the integrand at the open
-ends of the fast domain (a reflecting wall has no tail): mass still
-growing there raises InfiniteMomentError naming the coefficient, and in
-a build the node.
+First ``numerics.check_tail_decays`` judges the integrand at the
+density's open ends (a reflecting wall of the fast domain has no tail):
+mass still growing there raises InfiniteMomentError naming the
+coefficient, and in a build the node.
 
 Continuity of x -> bbar(x) is not automatic even when x -> pi^x is
 continuous in total variation: an unbounded integrand can ride on the
@@ -39,22 +39,19 @@ _BOUND_SLACK = 1e-9
 _EXPONENT_TOL = 0.05
 
 
-def _expectation(model, rho, factor, what):
+def _expectation(rho, factor, what):
     """int factor(y) rho(dy) by Simpson quadrature on the density's grid; a constant broadcasts."""
     values = np.broadcast_to(np.asarray(factor(rho.grid), dtype=float), rho.grid.shape)
-    dom = model.fast_domain
-    check_tail_decays(rho.grid, values * rho.values, not dom.bounded_below, not dom.bounded_above, what)
+    check_tail_decays(rho.grid, values * rho.values, *rho.open_ends, what)
     return simpson_ratio(values * rho.values, rho.values, rho.grid)
 
 
 def _drift_mean(model, x, rho):
-    return _expectation(model, rho, lambda y: model.coefficients.b(x, y), "the averaged drift")
+    return _expectation(rho, lambda y: model.coefficients.b(x, y), "the averaged drift")
 
 
 def _squared_dispersion_mean(model, x, rho):
-    abar = _expectation(
-        model, rho, lambda y: model.coefficients.sigma(x, y) ** 2, "the averaged squared dispersion"
-    )
+    abar = _expectation(rho, lambda y: model.coefficients.sigma(x, y) ** 2, "the averaged squared dispersion")
     if not abar > 0.0:
         raise DegenerateDiffusionError(
             f"averaged squared dispersion {abar!r} at x={x!r} is not positive"

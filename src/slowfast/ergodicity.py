@@ -372,13 +372,13 @@ def _march(bands, u, duration):
     return u
 
 
-def _density_from_state(grid, u):
+def _density_from_state(grid, u, domain):
     u = np.asarray(u, dtype=float).copy()
     floor = -1e-8 * max(u.max(), 1e-300)
     if u.min() < floor:
         raise ConservationError("forward solution developed significant negative mass")
     np.clip(u, 0.0, None, out=u)
-    return Density1D.from_unnormalized(grid, u)
+    return Density1D.from_unnormalized(grid, u, domain)
 
 
 def _pde_snapshots(model, x, y0, times, grid=None):
@@ -423,7 +423,7 @@ def _pde_snapshots(model, x, y0, times, grid=None):
         mass = float(np.dot(vol, u))
         if abs(mass - 1.0) > 1e-4:
             raise ConservationError(f"mass drifted to {mass:.6f} at t = {t:g}; refine the grid")
-        out.append(_density_from_state(grid, u))
+        out.append(_density_from_state(grid, u, model.fast_domain))
     return grid, out
 
 

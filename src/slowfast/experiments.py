@@ -248,7 +248,7 @@ def run_l2_failure(config: SimConfig, epsilons, workers=1) -> L2Report:
     rho = stationary_density(model, config.x0)
     sigma_bar = np.sqrt(_squared_dispersion_mean(model, config.x0, rho))
     predicted = config.horizon * _expectation(
-        model, rho, lambda y: (model.coefficients.sigma(config.x0, y) - sigma_bar) ** 2, "the predicted gap"
+        rho, lambda y: (model.coefficients.sigma(config.x0, y) - sigma_bar) ** 2, "the predicted gap"
     )
 
     gap, w1s = [], []

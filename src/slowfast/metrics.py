@@ -19,7 +19,7 @@ suite leans on. Densities enter wbl as 256 equal-mass atoms at their bins'
 centroids, which keeps wbl <= w1 but lets wbl exceed tv by up to each
 density's W1 distance to its atoms: on ``example21``, pi^0.01 against pi^0
 gives wbl 0.0306 against tv 0.0189. W1 of a density first passes
-``numerics.check_tail_decays`` on |y| rho at both ends of its grid.
+``numerics.check_tail_decays`` on |y| rho at the density's open ends.
 """
 
 from __future__ import annotations
@@ -118,7 +118,7 @@ def w1_distance(p, q) -> float:
     """
     for m in (p, q):
         if _is_density(m):
-            check_tail_decays(m.grid, np.abs(m.grid) * m.values, True, True, "W1")
+            check_tail_decays(m.grid, np.abs(m.grid) * m.values, *m.open_ends, "W1")
     points = union_grid(
         p.grid if _is_density(p) else p.samples,
         q.grid if _is_density(q) else q.samples,

@@ -300,16 +300,17 @@ def _adopt(runner):
 
 
 def _run_chunk(bounds):
+    """(True, rows) of one chunk, or (False, error) where it raised: the pool never sees an error."""
     try:
-        return _CHUNK_RUNNER(*bounds)
+        return True, _CHUNK_RUNNER(*bounds)
     except Exception as exc:
         # an exception that does not unpickle would kill the pool's result
         # thread and leave the parent waiting forever
         try:
             pickle.loads(pickle.dumps(exc))
         except Exception:
-            raise RuntimeError(repr(exc)) from None
-        raise
+            exc = RuntimeError(repr(exc))
+        return False, exc
 
 
 def _euler_loop(config, stored, n_sub, streams, initial, step, workers=1):
@@ -329,8 +330,14 @@ def _euler_loop(config, stored, n_sub, streams, initial, step, workers=1):
     ``stored`` (increasing), each slow step spanning ``n_sub`` loop steps;
     nothing is allocated for the others. With ``workers > 1`` whole chunks
     run in a fork-context process pool and come back in chunk order, so
-    results and errors are the serial loop's. Returns the stored times and
-    one (n_paths, n_stored) array per state component.
+    results and errors are the serial loop's. The pool is closed and
+    joined, never terminated: terminating it after a chunk error was seen
+    to hang its teardown under load, since a killed worker can leave a
+    queue lock held. That has two costs: after an error the remaining chunks
+    still run before the first error in chunk order is raised, and that
+    error no longer carries the pool's remote traceback as ``__cause__``.
+    Returns the stored times and one (n_paths, n_stored) array per state
+    component.
     """
     store_at = {int(j) * n_sub: k for k, j in enumerate(stored)}
     n_steps = config.n_slow_steps() * n_sub
@@ -386,12 +393,21 @@ def _euler_loop(config, stored, n_sub, streams, initial, step, workers=1):
     def child(p0, p1):
         return run(p0, p1, [np.empty((p1 - p0, stored.size)) for _ in out], 0)
 
-    # fork hands the closures to the pool processes without pickling; leaving
-    # the block terminates and joins them, also on an error
-    with multiprocessing.get_context("fork").Pool(size, _adopt, (child,)) as pool:
-        for (p0, p1), rows in zip(chunks, pool.imap(_run_chunk, chunks)):
-            for o, r in zip(out, rows):
-                o[p0:p1] = r
+    # fork hands the closures to the pool processes without pickling
+    pool = multiprocessing.get_context("fork").Pool(size, _adopt, (child,))
+    error = None
+    try:
+        for (p0, p1), (ok, result) in zip(chunks, pool.imap(_run_chunk, chunks)):
+            if ok:
+                for o, r in zip(out, result):
+                    o[p0:p1] = r
+            elif error is None:
+                error = result
+    finally:
+        pool.close()
+        pool.join()
+    if error is not None:
+        raise error
     return stored * config.dt, out
 
 

@@ -45,7 +45,7 @@ from scipy.integrate import cumulative_trapezoid, quad, trapezoid
 from scipy.linalg import eigh_tridiagonal
 
 from .errors import ConfigError, DegenerateDiffusionError, NotPositiveRecurrentError
-from .models import FULL_LINE, INTERVAL, ModelSpec, _evaluate
+from .models import FULL_LINE, INTERVAL, ModelSpec, StateDomain, _evaluate
 from .numerics import _flux_operator, check_tail_decays, cumulative_gauss, curvature_weight, equidistribute, gauss_panels, log_trapezoid
 from .simulate import SimConfig, simulate_frozen
 
@@ -64,14 +64,20 @@ class Density1D:
     ``values`` are normalized so their trapezoid integral over ``grid`` is
     exactly 1; ``cdf`` is the running trapezoid integral rescaled to end at
     exactly 1. Values are nonnegative and the grid is strictly increasing.
+    ``domain`` is the state space the law lives on: a bounded side is a
+    reflecting wall, which has no tail, so ``open_ends`` tells every
+    integral's tail guard which ends to judge. ``stationary_density`` and the
+    forward equation set it to the model's fast domain; a bare grid gets the
+    full line, and both its ends are judged.
     """
 
     grid: np.ndarray
     values: np.ndarray
     cdf: np.ndarray
+    domain: StateDomain = StateDomain(FULL_LINE)
 
     @classmethod
-    def from_unnormalized(cls, grid, raw):
+    def from_unnormalized(cls, grid, raw, domain=StateDomain(FULL_LINE)):
         grid = np.asarray(grid, dtype=float)
         raw = np.asarray(raw, dtype=float)
         if grid.ndim != 1 or grid.size < 2 or np.any(np.diff(grid) <= 0.0):
@@ -88,7 +94,12 @@ class Density1D:
         cdf.flags.writeable = False
         grid = grid.copy()
         grid.flags.writeable = False
-        return cls(grid=grid, values=values, cdf=cdf)
+        return cls(grid=grid, values=values, cdf=cdf, domain=domain)
+
+    @property
+    def open_ends(self):
+        """(lower, upper): whether each end is open, where an integrand's mass must decay."""
+        return not self.domain.bounded_below, not self.domain.bounded_above
 
     def interpolate(self, points):
         """Density linearly interpolated at points, zero outside the grid."""
@@ -337,24 +348,22 @@ def stationary_density(model: ModelSpec, x, grid=None) -> Density1D:
         raise ConfigError("grid leaves the fast domain")
     # Phi_x by panelwise Gauss-Legendre, zero at grid[0]
     ls = cumulative_gauss(ratio, grid) - log_gsq(grid)
-    return Density1D.from_unnormalized(grid, np.exp(ls - ls.max()))
+    return Density1D.from_unnormalized(grid, np.exp(ls - ls.max()), model.fast_domain)
 
 
 def moment(measure, k) -> float:
     """k-th moment: trapezoid rule for densities, sample mean for samples.
 
-    Raises InfiniteMomentError when the mass of y^k rho still grows at the
-    upper end of the grid (``numerics.check_tail_decays``): a divergent
-    tail, not a resolvable value. Only the upper end is judged, since a
-    half-line's reflecting wall, where y^k rho may peak, is its lower end
-    and a density does not record whether it has one; so a divergent lower
-    tail goes unreported.
+    Raises InfiniteMomentError when the mass of y^k rho still grows toward
+    an open end of the density's domain (``numerics.check_tail_decays``):
+    a divergent tail, not a resolvable value. A reflecting wall, where
+    y^k rho may peak, is not judged.
     """
     if isinstance(measure, EmpiricalMeasure):
         return float(np.mean(measure.samples**k))
     d = measure
     integrand = d.grid**k * d.values
-    check_tail_decays(d.grid, integrand, False, True, f"the moment of order {k}")
+    check_tail_decays(d.grid, integrand, *d.open_ends, f"the moment of order {k}")
     return float(trapezoid(integrand, d.grid))
 
 

@@ -14,6 +14,7 @@ from slowfast import (
     tv_distance,
     w1_decay_coupling,
 )
+from slowfast import ergodicity
 from slowfast.ergodicity import _log_recurrence
 from slowfast.models import FULL_LINE, HALF_LINE, INTERVAL, StateDomain
 from slowfast.numerics import _flux_operator, cumulative_gauss
@@ -204,6 +205,24 @@ def test_pde_reaches_stationarity(ou):
     target = stationary_density(ou, 0.3, grid=rho.grid)
     err = np.trapezoid(np.abs(rho.values - target.values), rho.grid)
     assert err < 1e-3
+
+
+def test_every_law_carries_the_fast_domain(example21, ou, monkeypatch):
+    compared = []
+
+    def recording(p, q):
+        compared.extend((p, q))
+        return tv_distance(p, q)
+
+    monkeypatch.setattr(ergodicity, "tv_distance", recording)
+    for model in (example21, ou):
+        compared.clear()
+        tv_decay_curve(model, 0.5, 1.0, [0.1, 0.2])
+        laws = [stationary_density(model, 0.5), forward_pde_solve(model, 0.5, 1.0, 0.1), *compared]
+        assert len(laws) == 6
+        assert all(law.domain == model.fast_domain for law in laws)
+    assert stationary_density(example21, 0.5).open_ends == (False, True)
+    assert stationary_density(ou, 0.5).open_ends == (True, True)
 
 
 def test_pde_preserves_stationarity(ou):

@@ -5,7 +5,9 @@ from scipy.optimize import linprog
 from scipy.stats import wasserstein_distance
 
 from slowfast import (
+    CoefficientSet,
     InfiniteMomentError,
+    ModelSpec,
     atomize,
     measure_distance,
     stationary_density,
@@ -15,6 +17,7 @@ from slowfast import (
     w1_empirical,
     wbl_distance,
 )
+from slowfast.models import FULL_LINE, HALF_LINE, INTERVAL, StateDomain
 from slowfast.stationary import Density1D, EmpiricalMeasure
 
 
@@ -104,6 +107,35 @@ def test_w1_rejects_unresolved_tail_mass():
     for p, q in ((heavy, light), (light, heavy)):
         with pytest.raises(InfiniteMomentError, match="^W1 is undefined"):
             w1_distance(p, q)
+
+
+def test_w1_does_not_judge_a_reflecting_wall():
+    # pi is the exponential law above the wall at 5 on the grid [5, 68], so
+    # |y| rho is largest at the wall; a wall holds no tail
+    walled = ModelSpec(
+        name="wall-at-five",
+        coefficients=CoefficientSet(
+            b=lambda x, y: 0.0,
+            sigma=lambda x, y: 1.0,
+            f=lambda x, y: -1.0 - 0.1 * x**2,
+            g=lambda x, y: np.sqrt(2.0),
+        ),
+        slow_domain=StateDomain(FULL_LINE),
+        fast_domain=StateDomain(HALF_LINE, 5.0),
+    )
+    p = stationary_density(walled, 0.0)
+    assert (p.grid[0], p.open_ends) == (5.0, (False, True))
+    assert w1_distance(p, p) == 0.0
+
+
+def test_w1_of_a_uniform_density_between_walls():
+    y = np.linspace(0.0, 1.0, 1025)
+    walled = Density1D.from_unnormalized(y, np.ones_like(y), StateDomain(INTERVAL, 0.0, 1.0))
+    assert w1_distance(walled, walled) == 0.0
+    # a bare grid lies on the full line, where level mass at an end is a cut tail
+    bare = Density1D.from_unnormalized(y, np.ones_like(y))
+    with pytest.raises(InfiniteMomentError, match="^W1 is undefined"):
+        w1_distance(bare, bare)
 
 
 def test_measure_distance_reports(ou):

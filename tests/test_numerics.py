@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from slowfast import InfiniteMomentError
+from slowfast import InfiniteMomentError, moment, w1_distance
+from slowfast.models import FULL_LINE, INTERVAL, StateDomain
 from slowfast.numerics import check_tail_decays
+from slowfast.stationary import Density1D
 
 
 def raises(grid, integrand, lower, upper):
@@ -13,6 +15,19 @@ def raises(grid, integrand, lower, upper):
         assert str(err).startswith("the test integral is undefined")
         return True
     return False
+
+
+def decisions(density):
+    """Which of the first and second moments and W1 raise for a tail."""
+    out = []
+    for judge in (lambda: moment(density, 1), lambda: moment(density, 2), lambda: w1_distance(density, density)):
+        try:
+            judge()
+        except InfiniteMomentError:
+            out.append(True)
+        else:
+            out.append(False)
+    return out
 
 
 def shaped(values, shape):
@@ -35,6 +50,7 @@ cases = st.integers(2, 24).flatmap(
         st.sampled_from(["raw", "increasing", "decreasing", "valley"]),
         st.booleans(),
         st.booleans(),
+        st.sampled_from([FULL_LINE, INTERVAL]),
     )
 )
 
@@ -42,11 +58,25 @@ cases = st.integers(2, 24).flatmap(
 @settings(max_examples=300, deadline=None)
 @given(cases)
 def test_tail_decision_is_mirror_symmetric(case):
-    start, widths, values, shape, lower, upper = case
+    start, widths, values, shape, lower, upper, kind = case
     grid = start + np.concatenate([[0.0], np.cumsum(widths)])
     integrand = shaped(values, shape)
     # y -> -y reverses the grid and turns the lower end into the upper end
     assert raises(grid, integrand, lower, upper) == raises(-grid[::-1], integrand[::-1], upper, lower)
+    # a density judges the ends its domain leaves open, and the mirror
+    # image of its domain leaves the mirrored ends open
+    top = np.max(np.abs(integrand))
+    if top == 0.0:
+        return
+    raw = np.abs(integrand) / top
+    if kind == INTERVAL:
+        domain, mirrored = StateDomain(INTERVAL, grid[0], grid[-1]), StateDomain(INTERVAL, -grid[-1], -grid[0])
+    else:
+        domain = mirrored = StateDomain(FULL_LINE)
+    density = Density1D.from_unnormalized(grid, raw, domain)
+    image = Density1D.from_unnormalized(-grid[::-1], raw[::-1], mirrored)
+    assert image.open_ends == density.open_ends[::-1]
+    assert decisions(density) == decisions(image)
 
 
 @pytest.mark.parametrize(

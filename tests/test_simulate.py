@@ -1,4 +1,5 @@
 import multiprocessing
+import multiprocessing.pool
 import os
 import resource
 import signal
@@ -406,6 +407,23 @@ def test_a_coefficient_error_reaches_the_caller_at_any_worker_count(forks):
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
     assert multiprocessing.active_children() == []
+
+
+def test_a_chunk_error_closes_the_pool_without_terminating_it(forks, monkeypatch):
+    # terminating workers can kill one that holds a queue lock and hang the
+    # teardown; a pool that is closed and joined after an error needs no terminate
+    def terminate(self):
+        raise AssertionError("the pool was terminated")
+
+    monkeypatch.setattr(multiprocessing.pool.Pool, "terminate", terminate)
+    cfg = SimConfig(epsilon=0.1, dt=0.01, horizon=0.1, n_paths=24, seed=5, x0=0.0, y0=0.0, chunk_size=8)
+    with pytest.raises(ValueError, match="bad coefficient"):
+        simulate_coupled(_raising_model(ValueError("bad coefficient")), cfg, workers=2)
+    assert multiprocessing.active_children() == []
+    with pytest.raises(RuntimeError, match=r"_TwoArgError\('bad coefficient at x = 0'\)"):
+        simulate_coupled(_raising_model(_TwoArgError("bad coefficient", "x = 0")), cfg, workers=2)
+    assert multiprocessing.active_children() == []
+
 
 def test_frozen_sim_fixes_the_slow_state(example21):
     cfg = SimConfig(

@@ -96,6 +96,14 @@ def test_moment_rejects_a_heavy_upper_tail(grid, a, k):
         moment(rho, k)
 
 
+def test_moment_rejects_a_heavy_lower_tail():
+    # the mirror image of uniform-a1: the lower end of a bare grid is open too
+    grid = np.linspace(-400.0, 0.0, 4001)
+    rho = Density1D.from_unnormalized(grid, 1.0 / (1.0 + np.abs(grid)))
+    with pytest.raises(InfiniteMomentError, match="^the moment of order 1 is undefined: .* toward the lower end$"):
+        moment(rho, 1)
+
+
 def test_moment_on_samples():
     m = EmpiricalMeasure.from_samples([1.0, 2.0, 3.0, 6.0])
     assert moment(m, 1) == pytest.approx(3.0)
