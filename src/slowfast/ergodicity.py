@@ -30,12 +30,9 @@ of that panel's exponential-fitted mass (the same phi-function that
 underlies ``_flux_operator``). s(z) M([0, z]), e^{Phi(z)} int_0^z s
 and, run from the far end, s(z) M([z, end]) are its three instances.
 
-The forward solver marches ``stationary._frozen_generator``, whose
-discrete stationary state is exp(Phi)/g^2 at the nodes, so the invariant
-density is preserved by construction, not approximately. Time stepping is
-Crank-Nicolson after a short backward-Euler startup on every marched
-interval (see ``_march``); both solve with I - (dt/2) A, LU-factored once
-per marched interval.
+The forward solver hands ``stationary._frozen_generator``, whose discrete
+stationary state is exp(Phi)/g^2 at the nodes, to ``numerics.march``, so
+the invariant density is preserved by construction, not approximately.
 """
 
 from __future__ import annotations
@@ -43,13 +40,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgttrf, dgttrs
 from scipy.special import logsumexp
 
 from .errors import ConfigError, ConservationError, SlowfastError
 from .metrics import tv_distance
 from .models import FULL_LINE, INTERVAL, ModelSpec
-from .numerics import cumulative_gauss, fit_exponential_decay, log_trapezoid
+from .numerics import cumulative_gauss, fit_exponential_decay, log_trapezoid, march
 from .simulate import SimConfig, frozen_pair_gap
 from .stationary import (Density1D, _default_pde_grid, _frozen_axis, _frozen_generator, _mode, _segments,
                          stationary_density)
@@ -341,37 +337,6 @@ def classify(model: ModelSpec, x) -> ErgodicityReport:
     )
 
 
-def _march(bands, u, duration):
-    """Crank-Nicolson for u' = A u over one interval, after a Rannacher startup.
-
-    The startup replaces the first two steps by four backward-Euler half
-    steps; these and the Crank-Nicolson steps all solve with I - (dt/2) A.
-    Every interval needs it: alone, Crank-Nicolson leaves a mode mu with dt mu >> 1 ringing.
-    """
-    lower, diag, upper = bands
-    n_steps = int(max(16, min(8192, np.ceil(duration / 2.5e-3))))
-    dt = duration / n_steps
-    scale = dt / 2.0
-    dl, d, du, du2, ipiv, info = dgttrf(-scale * lower, 1.0 - scale * diag, -scale * upper)
-    if info != 0:
-        raise ConservationError(f"Crank-Nicolson matrix is singular (LAPACK dgttrf info {info})")
-
-    def solve(rhs):
-        out, info = dgttrs(dl, d, du, du2, ipiv, rhs)
-        if info != 0:
-            raise ConservationError(f"tridiagonal solve failed (LAPACK dgttrs info {info})")
-        return out
-
-    for _ in range(4):
-        u = solve(u)
-    for _ in range(n_steps - 2):
-        au = diag * u
-        au[:-1] += upper * u[1:]
-        au[1:] += lower * u[:-1]
-        u = solve(u + 0.5 * dt * au)
-    return u
-
-
 def _density_from_state(grid, u, domain):
     u = np.asarray(u, dtype=float).copy()
     floor = -1e-8 * max(u.max(), 1e-300)
@@ -418,7 +383,7 @@ def _pde_snapshots(model, x, y0, times, grid=None):
     prev = 0.0
     for t in times:
         if t > prev:
-            u = _march(bands, u, t - prev)
+            u = march(bands, u, t - prev)
         prev = t
         mass = float(np.dot(vol, u))
         if abs(mass - 1.0) > 1e-4:

@@ -362,9 +362,7 @@ def _parse_workers(text):
 
 def _parse_pairs(text):
     pairs = []
-    for tok in text.split(";"):
-        if not tok.strip():
-            continue
+    for tok in filter(str.strip, text.split(";")):
         halves = tok.split(",")
         if len(halves) != 2:
             raise ConfigError(f"--pairs expects 'x1,x2;x1,x2;...', got {text!r}")
@@ -560,12 +558,14 @@ def _build_parser():
 
     sp = sub.add_parser("averaged", help="tabulated averaged coefficients (csv: x,b_bar,a_bar,sigma_bar)")
     common(sp)
-    sp.add_argument("--x-grid", dest="x_grid", required=True, help=f"start:stop:step, at most {MAX_X_GRID_NODES} nodes")
+    sp.add_argument("--x-grid", dest="x_grid", required=True,
+                    help=f"start:stop:step, at most {MAX_X_GRID_NODES} nodes; a value starting with - needs the = form, --x-grid=-2:2:0.01")
 
     sp = sub.add_parser("holder", help="power-law fit of invariant-measure distances")
     common(sp)
     sp.add_argument("--metric", choices=("tv", "w1", "wbl"), required=True)
-    sp.add_argument("--pairs", required=True, help="'x1,x2;x1,x2;...'")
+    sp.add_argument("--pairs", required=True,
+                    help="'x1,x2;x1,x2;...'; a value starting with - needs the = form, --pairs='-1,0'")
     sp.add_argument("--lambda2", type=float, default=None)
     sp.add_argument("--k3", type=float, default=None)
 

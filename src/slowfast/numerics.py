@@ -2,10 +2,11 @@
 
 Small, model-free helpers used across the package: fixed-order
 Gauss-Legendre panels for cumulative integrals, overflow-safe log-domain
-trapezoid sums, weight-equidistributed grids, an exponentially fitted 1-D
-forward operator, mirror reflection, the least-squares fits used by the
-decay and Holder studies, and ``check_tail_decays``, the one judge of
-whether an integral against a tabulated law has a tail that decays.
+trapezoid sums, weight-equidistributed grids, the 1-D forward equation
+(``_flux_operator``'s fitted generator, its ``march`` and ``spectral_gap``),
+mirror reflection, the least-squares fits of the decay and Holder studies,
+and ``check_tail_decays``, the one judge of whether an integral against a
+tabulated law has a tail that decays.
 """
 
 from __future__ import annotations
@@ -13,9 +14,11 @@ from __future__ import annotations
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.integrate import cumulative_trapezoid, simpson
+from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dgttrf, dgttrs
 from scipy.special import logsumexp
 
-from .errors import FitError, InfiniteMomentError
+from .errors import ConservationError, FitError, InfiniteMomentError
 
 _GL_NODES, _GL_WEIGHTS = leggauss(10)
 
@@ -132,6 +135,45 @@ def _flux_operator(grid, drift, diffusion):
     diag[:-1] -= a_edge / vol[:-1]
     diag[1:] -= c_edge / vol[1:]
     return vol, (a_edge / vol[1:], diag, c_edge / vol[:-1])
+
+
+def march(bands, u, duration):
+    """Crank-Nicolson for u' = A u, A the bands of ``_flux_operator``, after a Rannacher startup.
+
+    Four backward-Euler half steps replace the first two, or Crank-Nicolson leaves a mode mu
+    with dt mu >> 1 ringing; all steps solve with I - (dt/2) A, LU-factored once per call.
+    """
+    lower, diag, upper = bands
+    n_steps = int(max(16, min(8192, np.ceil(duration / 2.5e-3))))
+    dt = duration / n_steps
+    scale = dt / 2.0
+    dl, d, du, du2, ipiv, info = dgttrf(-scale * lower, 1.0 - scale * diag, -scale * upper)
+    if info != 0:
+        raise ConservationError(f"Crank-Nicolson matrix is singular (LAPACK dgttrf info {info})")
+
+    def solve(rhs):
+        out, info = dgttrs(dl, d, du, du2, ipiv, rhs)
+        if info != 0:
+            raise ConservationError(f"tridiagonal solve failed (LAPACK dgttrs info {info})")
+        return out
+
+    for _ in range(4):
+        u = solve(u)
+    for _ in range(n_steps - 2):
+        au = diag * u
+        au[:-1] += upper * u[1:]
+        au[1:] += lower * u[:-1]
+        u = solve(u + 0.5 * dt * au)
+    return u
+
+
+def spectral_gap(bands):
+    """Minus the second eigenvalue of the reversible A of ``_flux_operator``, solved on the
+    similar symmetric tridiagonal with off-diagonal sqrt(lower * upper)."""
+    lower, diag, upper = bands
+    n = diag.size
+    top = eigh_tridiagonal(diag, np.sqrt(lower * upper), eigvals_only=True, select="i", select_range=(n - 2, n - 1))
+    return -float(top[0])
 
 
 def simpson_ratio(numerator, denominator, grid):

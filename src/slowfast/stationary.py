@@ -27,12 +27,13 @@ there ``_extent`` doubles the region in each open direction (a half-line
 keeps its wall) until the (moment-weighted) tail mass drops below 1e-9 of
 the total; both walk ``_segments``. The default grid places 4096 nodes on
 it by equidistributing the cube-root-curvature weight of
-(1 + |y - y_ref|) * pi_x over one probe.
-That weight keeps the composite trapezoid rule (used for normalization, so
-that the stored values integrate to exactly 1) below 1e-6 relative error
-even for mixtures with tails as slow as exp(-0.03 y), while leaving enough
-nodes in the tail for first and second moment integrands. The forward
-equation and the gap use 2049 uniform nodes on the same extent.
+(1 + |y - y_ref|) * pi_x over one probe. That weight keeps the composite
+trapezoid rule (used for normalization, so that the stored values
+integrate to exactly 1) below 1e-6 relative error even for mixtures with
+tails as slow as exp(-0.03 y), while leaving enough nodes in the tail for
+first and second moment integrands. ``numerics.march`` and
+``numerics.spectral_gap`` solve the forward equation and the gap on
+``_frozen_generator`` at 2049 uniform nodes on the same extent.
 """
 
 from __future__ import annotations
@@ -42,11 +43,10 @@ from itertools import islice
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid, quad, trapezoid
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import ConfigError, DegenerateDiffusionError, NotPositiveRecurrentError
 from .models import FULL_LINE, INTERVAL, ModelSpec, StateDomain, _evaluate
-from .numerics import _flux_operator, check_tail_decays, cumulative_gauss, curvature_weight, equidistribute, gauss_panels, log_trapezoid
+from .numerics import _flux_operator, check_tail_decays, cumulative_gauss, curvature_weight, equidistribute, gauss_panels, log_trapezoid, spectral_gap
 from .simulate import SimConfig, simulate_frozen
 
 DEFAULT_GRID_POINTS = 4096
@@ -319,15 +319,8 @@ def _frozen_generator(model, x, grid):
 
 
 def _spectral_gap(model, x):
-    """Spectral gap lambda(x): minus the second eigenvalue of the frozen generator.
-
-    On ``_default_pde_grid``; the reversible generator is similar to the
-    symmetric tridiagonal with off-diagonal sqrt(lower * upper).
-    """
-    _, (lower, diag, upper) = _frozen_generator(model, x, _default_pde_grid(model, x, None))
-    n = diag.size
-    top = eigh_tridiagonal(diag, np.sqrt(lower * upper), eigvals_only=True, select="i", select_range=(n - 2, n - 1))
-    return -float(top[0])
+    """Spectral gap lambda(x) of the frozen generator on ``_default_pde_grid``."""
+    return spectral_gap(_frozen_generator(model, x, _default_pde_grid(model, x, None))[1])
 
 
 def stationary_density(model: ModelSpec, x, grid=None) -> Density1D:

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from slowfast import (
     CoefficientSet,
+    ConservationError,
     DegenerateDiffusionError,
     ModelSpec,
     classify,
@@ -172,6 +173,24 @@ def test_flux_operator_keeps_the_ito_form():
     # zero flux through both ends: the generator conserves mass exactly
     u = np.random.default_rng(7).random(grid.size)
     assert abs(vol @ (a @ u)) <= 1e-13 * (vol @ (np.abs(diag) * u))
+
+
+def test_forward_state_with_significant_negative_mass_raises():
+    grid = np.linspace(0.0, 1.0, 11)
+    u = np.ones(grid.size)
+    u[3] = -1.01e-8  # below the floor of -1e-8 times the maximum
+    with pytest.raises(ConservationError, match="significant negative mass"):
+        ergodicity._density_from_state(grid, u, StateDomain(FULL_LINE))
+
+
+def test_forward_state_just_above_the_negative_floor_is_clipped():
+    grid = np.linspace(0.0, 1.0, 11)
+    u = np.ones(grid.size)
+    u[3] = -0.99e-8
+    density = ergodicity._density_from_state(grid, u, StateDomain(FULL_LINE))
+    assert density.values[3] == 0.0
+    assert np.all(density.values[np.arange(grid.size) != 3] > 0.0)
+    assert u[3] == -0.99e-8  # the caller's state is not clipped in place
 
 
 @pytest.mark.parametrize(

@@ -5,6 +5,8 @@ import io
 import json
 import multiprocessing
 import os
+import re
+import shlex
 import subprocess
 import sys
 from dataclasses import replace
@@ -16,6 +18,7 @@ import pytest
 from slowfast.errors import ConfigError
 from slowfast.experiments import (
     MAX_X_GRID_NODES,
+    _build_parser,
     _parse_pairs,
     _parse_x_grid,
     _validate_epsilons,
@@ -154,6 +157,22 @@ def test_python_m_entry_point_lists_models():
     )
     assert done.returncode == 0, done.stderr
     assert [r["name"] for r in json.loads(done.stdout)] == ["example21", "ou-coupled", "pure-fast-l2"]
+
+
+def _readme_commands():
+    # every `slowfast ...` invocation the README shows, in a code block or inline
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    found = re.findall(r"^slowfast .*$", text, re.M) + re.findall(r"`(slowfast [^`]+)`", text)
+    return list(dict.fromkeys(" ".join(line.split()) for line in found))
+
+
+@pytest.mark.parametrize("line", _readme_commands())
+def test_readme_command_lines_parse(line):
+    argv = shlex.split(line)[1:]
+    try:
+        _build_parser().parse_args(argv)
+    except SystemExit as exc:
+        pytest.fail(f"README command does not parse (exit {exc.code}): {line}")
 
 
 def _key_value_rows(obj, prefix=""):

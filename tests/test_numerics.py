@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from slowfast import InfiniteMomentError, moment, w1_distance
+from slowfast import ConservationError, InfiniteMomentError, moment, w1_distance
 from slowfast.models import FULL_LINE, INTERVAL, StateDomain
-from slowfast.numerics import check_tail_decays
+from slowfast.numerics import _flux_operator, check_tail_decays, cumulative_gauss, march, spectral_gap
 from slowfast.stationary import Density1D
 
 
@@ -95,3 +95,46 @@ def test_tail_decision_is_mirror_symmetric(case):
 )
 def test_tail_decision_judges_only_the_open_ends(integrand, lower, upper, expected):
     assert raises(np.arange(integrand.size, dtype=float), integrand, lower, upper) == expected
+
+
+# ---------------------------------------------------------------------------
+# the forward-equation engine: march and spectral_gap on a flux operator
+
+_ENGINE_DRIFT = lambda y: -y + 0.3 * np.sin(y)
+_ENGINE_DIFFUSION = lambda y: 1.0 + 0.2 * np.cos(y)
+_ENGINE_GRID = np.linspace(-6.0, 6.0, 201)
+
+
+def engine_operator():
+    return _flux_operator(_ENGINE_GRID, _ENGINE_DRIFT, _ENGINE_DIFFUSION)
+
+
+def test_march_conserves_mass():
+    vol, bands = engine_operator()
+    u = np.exp(-0.5 * ((_ENGINE_GRID - 2.5) / 0.3) ** 2)
+    u /= vol @ u
+    for duration in (0.05, 1.0, 7.3):
+        assert abs(vol @ march(bands, u, duration) - 1.0) <= 1e-12
+
+
+def test_march_leaves_the_discrete_stationary_state_fixed():
+    _, bands = engine_operator()
+    ratio = lambda y: _ENGINE_DRIFT(y) / _ENGINE_DIFFUSION(y)
+    s = np.exp(cumulative_gauss(ratio, _ENGINE_GRID)) / _ENGINE_DIFFUSION(_ENGINE_GRID)
+    np.testing.assert_allclose(march(bands, s, 3.0), s, rtol=1e-12, atol=0.0)
+
+
+def test_spectral_gap_matches_the_dense_second_eigenvalue():
+    _, (lower, diag, upper) = engine_operator()
+    dense = np.diag(diag) + np.diag(lower, -1) + np.diag(upper, 1)
+    eig = np.sort(np.linalg.eigvals(dense).real)
+    assert spectral_gap((lower, diag, upper)) == pytest.approx(-eig[-2], rel=1e-10)
+
+
+def test_march_raises_on_a_singular_crank_nicolson_matrix():
+    # duration 1 marches 400 steps of dt = 1/400, and diag = 2/dt makes
+    # I - (dt/2) A exactly zero
+    n, dt = 5, 1.0 / 400.0
+    bands = (np.zeros(n - 1), np.full(n, 2.0 / dt), np.zeros(n - 1))
+    with pytest.raises(ConservationError, match="dgttrf"):
+        march(bands, np.ones(n), 1.0)
