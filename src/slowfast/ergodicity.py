@@ -47,8 +47,8 @@ from .metrics import tv_distance
 from .models import FULL_LINE, INTERVAL, ModelSpec
 from .numerics import cumulative_gauss, fit_exponential_decay, log_trapezoid, march
 from .simulate import SimConfig, frozen_pair_gap
-from .stationary import (Density1D, _default_pde_grid, _frozen_axis, _frozen_generator, _mode, _segments,
-                         stationary_density)
+from .stationary import (_PDE_CELLS, Density1D, _default_pde_grid, _frozen_axis, _frozen_generator, _mode,
+                         _segments, stationary_density)
 
 GROWTH_CAP = 1e6
 INCREMENT_FLOOR = 1e-10
@@ -368,8 +368,9 @@ def _pde_snapshots(model, x, y0, times, grid=None):
     if point:
         if not grid[0] <= y0 <= grid[-1]:
             raise ConfigError("y0 outside the pde grid")
-        # mollified point mass two cells wide
-        width = 2.0 * np.interp(y0, grid, np.gradient(grid))
+        # mollified point mass two default cells (span / _PDE_CELLS) wide, so a
+        # refined grid resolves the same initial datum, not a narrower one
+        width = 2.0 * (grid[-1] - grid[0]) / _PDE_CELLS
         u = np.exp(-0.5 * ((grid - y0) / width) ** 2)
         u = u / np.dot(vol, u)
     else:
@@ -383,7 +384,7 @@ def _pde_snapshots(model, x, y0, times, grid=None):
     prev = 0.0
     for t in times:
         if t > prev:
-            u = march(bands, u, t - prev)
+            u = march((vol, bands), u, t - prev)
         prev = t
         mass = float(np.dot(vol, u))
         if abs(mass - 1.0) > 1e-4:
@@ -395,11 +396,13 @@ def _pde_snapshots(model, x, y0, times, grid=None):
 def forward_pde_solve(model: ModelSpec, x, y0, t, grid=None) -> Density1D:
     """Law of the frozen fast state at time t from a near-point start.
 
-    ``y0`` may be a float (mollified point mass two cells wide) or a
-    Density1D initial condition. With ``grid=None`` a uniform grid over the
-    stationary support is used (the initial density's own grid when one is
-    given). Stiff requests are sub-stepped internally; mass drift beyond
-    1e-4 raises ConservationError.
+    ``y0`` may be a float (mollified point mass two cells of a 2049-node
+    grid on the same span wide) or a Density1D initial condition. With ``grid=None`` a
+    uniform grid over the stationary support is used (the initial density's
+    own grid when one is given). ``numerics.march`` doubles the time steps
+    until their error is at most 1e-6 relative L1, well under the default
+    grid's error of about 1e-4, and raises ConservationError if 8192 steps
+    do not reach that; mass drift beyond 1e-4 raises ConservationError.
     """
     _, states = _pde_snapshots(model, x, y0, [float(t)], grid=grid)
     return states[0]

@@ -292,6 +292,9 @@ def default_grid(model: ModelSpec, x) -> np.ndarray:
     return equidistribute(probe, weight, DEFAULT_GRID_POINTS)
 
 
+_PDE_CELLS = 2048
+
+
 def _default_pde_grid(model, x, y0):
     """Uniform forward-equation grid on ``_extent``, widened to hold a start y0 if given."""
     lo, hi = _extent(model, x)
@@ -303,7 +306,7 @@ def _default_pde_grid(model, x, y0):
         lo = max(lo, model.fast_domain.lower)
     if model.fast_domain.bounded_above:
         hi = min(hi, model.fast_domain.upper)
-    return np.linspace(lo, hi, 2049)
+    return np.linspace(lo, hi, _PDE_CELLS + 1)
 
 
 def _frozen_generator(model, x, grid):

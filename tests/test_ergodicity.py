@@ -15,10 +15,13 @@ from slowfast import (
     tv_distance,
     w1_decay_coupling,
 )
-from slowfast import ergodicity
+from scipy.linalg.lapack import dgttrf, dgttrs
+
+from slowfast import ergodicity, numerics
 from slowfast.ergodicity import _log_recurrence
 from slowfast.models import FULL_LINE, HALF_LINE, INTERVAL, StateDomain
 from slowfast.numerics import _flux_operator, cumulative_gauss
+from slowfast.stationary import _default_pde_grid
 
 from conftest import gaussian_pdf
 
@@ -254,10 +257,82 @@ def test_pde_preserves_stationarity(ou):
 
 @pytest.mark.parametrize("x", [0.5, 0.01])
 def test_one_long_interval_reaches_stationarity(example21, x):
-    # from t = 1 to 1e9 the march takes 8192 steps of about 1.2e5, so every
+    # from t = 1 to 1e9 the march takes steps of 1e9 / 16 or so, so every
     # stiff mode has dt mu >> 1; only the backward-Euler restart damps them
     curve = tv_decay_curve(example21, x, 1.0, [1.0, 1e9])
     assert curve.values[-1] == pytest.approx(0.0, abs=1e-4)
+
+
+def fixed_step_march(bands, u, duration, n_steps):
+    """Rannacher-started Crank-Nicolson in ``n_steps`` equal steps, the right side by band mat-vec."""
+    lower, diag, upper = bands
+    scale = duration / n_steps / 2.0
+    factors = dgttrf(-scale * lower, 1.0 - scale * diag, -scale * upper)[:5]
+    for _ in range(4):
+        u = dgttrs(*factors, u)[0]
+    for _ in range(n_steps - 2):
+        au = diag * u
+        au[:-1] += upper * u[1:]
+        au[1:] += lower * u[:-1]
+        u = dgttrs(*factors, u + scale * au)[0]
+    return u
+
+
+@pytest.mark.parametrize(
+    "name, x, y0, times",
+    [
+        ("example21", 0.5, 3.0, np.linspace(1.0, 4.0, 7)),  # [0, 1] and the decay intervals
+        ("ou-coupled", 0.0, 3.0, [1.0]),
+        ("example21", 0.01, 1.0, [1.0, 1e4]),
+    ],
+)
+def test_march_is_within_its_tolerance_of_a_4x_finer_march(monkeypatch, name, x, y0, times):
+    levels, marches = [], []
+    inner = numerics._rannacher_crank_nicolson
+
+    def level(bands, u, duration, n_steps):
+        levels.append(n_steps)
+        return inner(bands, u, duration, n_steps)
+
+    def recording(operator, u, duration):
+        out = numerics.march(operator, u, duration)
+        marches.append((operator, u, duration, levels[-1], out))
+        return out
+
+    monkeypatch.setattr(numerics, "_rannacher_crank_nicolson", level)
+    monkeypatch.setattr(ergodicity, "march", recording)
+    tv_decay_curve(get_builtin(name), x, y0, times)
+    assert len(marches) == len(times)
+    for (vol, bands), u, duration, n_steps, out in marches:
+        reference = fixed_step_march(bands, u, duration, 4 * n_steps)
+        assert vol @ np.abs(out - reference) <= 1e-6 * (vol @ np.abs(reference))
+
+
+def test_criterion_5_march_solves_few_systems(monkeypatch, example21):
+    # t = 20 / rate, criterion 5's march to stationarity; 8192 steps before
+    # the step count followed the error
+    solves = []
+
+    def counting(*args):
+        solves.append(1)
+        return dgttrs(*args)
+
+    monkeypatch.setattr(numerics, "dgttrs", counting)
+    forward_pde_solve(example21, 0.5, 3.0, 37.15)
+    assert 0 < len(solves) <= 256
+
+
+def test_refining_the_grid_keeps_the_point_start(example21):
+    # the start is two default cells wide on any grid over the same span, so
+    # refining moves TV by its grid error (about 1e-4), not by a narrower
+    # initial datum (1.7e-3 when the start was two cells of the given grid)
+    default = _default_pde_grid(example21, 0.5, 3.0)
+    times = [1.0, 2.0, 4.0]
+    base = tv_decay_curve(example21, 0.5, 3.0, times).values
+    for refine in (2, 4):
+        finer = np.linspace(default[0], default[-1], refine * (default.size - 1) + 1)
+        moved = tv_decay_curve(example21, 0.5, 3.0, times, grid=finer).values
+        assert np.max(np.abs(moved - base)) <= 2e-4
 
 
 def test_tv_decay_rate_matches_spectral_gap(ou):

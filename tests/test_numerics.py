@@ -114,14 +114,13 @@ def test_march_conserves_mass():
     u = np.exp(-0.5 * ((_ENGINE_GRID - 2.5) / 0.3) ** 2)
     u /= vol @ u
     for duration in (0.05, 1.0, 7.3):
-        assert abs(vol @ march(bands, u, duration) - 1.0) <= 1e-12
+        assert abs(vol @ march((vol, bands), u, duration) - 1.0) <= 1e-12
 
 
 def test_march_leaves_the_discrete_stationary_state_fixed():
-    _, bands = engine_operator()
     ratio = lambda y: _ENGINE_DRIFT(y) / _ENGINE_DIFFUSION(y)
     s = np.exp(cumulative_gauss(ratio, _ENGINE_GRID)) / _ENGINE_DIFFUSION(_ENGINE_GRID)
-    np.testing.assert_allclose(march(bands, s, 3.0), s, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(march(engine_operator(), s, 3.0), s, rtol=1e-12, atol=0.0)
 
 
 def test_spectral_gap_matches_the_dense_second_eigenvalue():
@@ -132,9 +131,27 @@ def test_spectral_gap_matches_the_dense_second_eigenvalue():
 
 
 def test_march_raises_on_a_singular_crank_nicolson_matrix():
-    # duration 1 marches 400 steps of dt = 1/400, and diag = 2/dt makes
+    # duration 1 first marches 16 steps of dt = 1/16, and diag = 2/dt makes
     # I - (dt/2) A exactly zero
-    n, dt = 5, 1.0 / 400.0
+    n, dt = 5, 1.0 / 16.0
     bands = (np.zeros(n - 1), np.full(n, 2.0 / dt), np.zeros(n - 1))
     with pytest.raises(ConservationError, match="dgttrf"):
-        march(bands, np.ones(n), 1.0)
+        march((np.ones(n), bands), np.ones(n), 1.0)
+
+
+def test_march_raises_on_an_operator_that_blows_up():
+    # u' = 50 u over 20 grows by e^1000, past the largest double; the suite
+    # turns warnings into errors, so an overflow warning would fail here too
+    n = 5
+    bands = (np.zeros(n - 1), np.full(n, 50.0), np.zeros(n - 1))
+    with pytest.raises(ConservationError, match="non-finite"):
+        march((np.ones(n), bands), np.ones(n), 20.0)
+
+
+def test_march_raises_when_8192_steps_miss_the_tolerance():
+    # a skew-symmetric A rotates without decay, and over a duration of 100
+    # Crank-Nicolson's phase error at 8192 steps is still far above 1e-6
+    n = 5
+    bands = (np.full(n - 1, -1.0), np.zeros(n), np.full(n - 1, 1.0))
+    with pytest.raises(ConservationError, match="8192 steps"):
+        march((np.ones(n), bands), np.eye(n)[0], 100.0)
