@@ -181,8 +181,10 @@ def build_averaged_model(model: ModelSpec, x_grid) -> AveragedModel:
 
     Closed forms from the model's analytic record are used where present;
     the remaining coefficients fall back to quadrature node by node, from
-    one frozen invariant density per node. A node failure aborts the build
-    and names the offending node.
+    one frozen invariant density per node. Where both closed forms exist
+    they are evaluated once on the whole grid (a constant broadcasts),
+    with the bits of a node-by-node evaluation. A node failure aborts the
+    build and names the offending node.
     """
     grid = np.asarray(x_grid, dtype=float)
     if grid.ndim != 1 or grid.size < 2 or not np.all(np.diff(grid) > 0):
@@ -210,9 +212,17 @@ def build_averaged_model(model: ModelSpec, x_grid) -> AveragedModel:
             raise type(err)(f"averaged coefficients failed at node x={float(x)!r}: {err}") from err
         return b, a
 
-    rows = [node(x) for x in grid]
-    b_bar = np.array([r[0] for r in rows])
-    a_bar = np.array([r[1] for r in rows])
+    def table():
+        if method == "analytic":
+            try:
+                return tuple(np.array(np.broadcast_to(np.asarray(fn(grid), dtype=float), grid.shape))
+                             for fn in (drift_fn, diff_fn))
+            except SlowfastError:
+                pass  # the node loop below names the failing node
+        rows = [node(x) for x in grid]
+        return np.array([r[0] for r in rows]), np.array([r[1] for r in rows])
+
+    b_bar, a_bar = table()
     return AveragedModel(
         source=model.name,
         x_grid=grid,

@@ -37,12 +37,13 @@ the invariant density is preserved by construction, not approximately.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import logsumexp
 
-from .errors import ConfigError, ConservationError, SlowfastError
+from .errors import ConfigError, ConservationError, FitError
 from .metrics import tv_distance
 from .models import FULL_LINE, INTERVAL, ModelSpec
 from .numerics import cumulative_gauss, fit_exponential_decay, log_trapezoid, march
@@ -58,6 +59,7 @@ _LOG_FLOOR = np.log(INCREMENT_FLOOR)
 # a non-decaying ladder is only called divergent above this increment, so
 # a converging tail can never be misread as slow divergence
 _LOG_SLOW = np.log(1e-8)
+_LOG2 = math.log(2.0)  # numpy's NPY_LOGE2
 
 FINITE = "finite"
 DIVERGENT = "divergent"
@@ -176,9 +178,25 @@ def _log_recurrence(a, b):
     That is log V for V[i+1] = e^{a[i]} V[i] + e^{b[i]}, the one recurrence
     of the ladder (see the module docstring).
     """
-    v = [-np.inf]
+    vi = -math.inf
+    v = [vi]
+    # np.logaddexp's branches (numpy's npy_logaddexp) on Python floats, which
+    # skips numpy's scalar dispatch: same libm exp and log1p, same bits
     for ai, bi in zip(a.tolist(), b.tolist()):
-        v.append(np.logaddexp(v[-1] + ai, bi))
+        x = vi + ai
+        if x == bi:
+            vi = x + _LOG2
+        else:
+            d = x - bi
+            if d > 0.0:
+                vi = x + math.log1p(math.exp(-d))
+            elif d <= 0.0:
+                vi = bi + math.log1p(math.exp(d))
+            else:
+                # NaN: the sum of two NaNs takes the sign of one of them, and
+                # which one CPython's float add picks varies; numpy's is fixed
+                vi = float(np.logaddexp(np.float64(vi) + ai, bi))
+        v.append(vi)
     return np.array(v)
 
 
@@ -409,11 +427,11 @@ def forward_pde_solve(model: ModelSpec, x, y0, t, grid=None) -> Density1D:
 
 
 def _decay_fit(times, values, **window):
-    """Exponential fit over the ``window`` of values; flat when no fit exists."""
+    """Exponential fit over the ``window`` of values; where none exists, null numbers and the reason."""
     try:
         amp, rate, r2 = fit_exponential_decay(times, values, **window)
-    except SlowfastError:
-        return {"amplitude": float(np.max(values)), "rate": 0.0, "r_squared": 0.0}
+    except FitError as err:
+        return {"amplitude": None, "rate": None, "r_squared": None, "reason": str(err)}
     return {"amplitude": amp, "rate": max(rate, 0.0), "r_squared": min(max(r2, 0.0), 1.0)}
 
 

@@ -18,8 +18,9 @@ Every public runner embeds its full parameter set in the report, and the
 CLI writes a run manifest next to each artifact so any result can be
 reproduced bit for bit (random streams are keyed per path). The runners
 and the CLI take a worker count, which the manifest records: the
-simulators integrate whole path chunks in that many forked processes, and
-every number is the same at any count.
+simulators integrate whole path chunks in up to that many forked
+processes, by default one chunk per process, and every number is the same
+at any count.
 
 Each subcommand handler only computes: it returns the report payload, the
 manifest parameters, and either None (the csv form is the payload's
@@ -156,7 +157,8 @@ def run_averaging_convergence(
     ``epsilon = inf`` is accepted as a surrogate that freezes the fast
     state at y0, giving the O(1) un-averaged gap the ladder descends from.
     Every simulation runs its path chunks in up to ``workers`` forked
-    processes; the report does not depend on the count.
+    processes (by default one chunk per process, ``SimConfig.chunk_size``);
+    the report does not depend on the count.
     """
     _check_workers(workers)
     eps = _validate_epsilons(epsilons)
@@ -236,8 +238,9 @@ def run_l2_failure(config: SimConfig, epsilons, workers=1) -> L2Report:
     predicts: T times the invariant mean of (sigma(y) - sigmabar)^2.
     Terminal W1 against an independent averaged ensemble is reported
     alongside: the laws merge while the paths refuse to. Every simulation
-    runs its path chunks in up to ``workers`` forked processes; the report
-    does not depend on the count.
+    runs its path chunks in up to ``workers`` forked processes (by default
+    one chunk per process, ``SimConfig.chunk_size``); the report does not
+    depend on the count.
     """
     _check_workers(workers)
     eps = _validate_epsilons(epsilons)
@@ -534,8 +537,9 @@ def _build_parser():
                         help="artifact path; a .manifest.json is written beside it")
         sp.add_argument("--format", choices=("json", "csv"), default="json")
         sp.add_argument("--workers", default=1,
-                        help="processes over path chunks for converge and l2fail, at most one "
-                             "per chunk and usable core (default 1); results do not depend on it")
+                        help="processes for converge and l2fail (default 1), at most one per usable "
+                             "core and chunk; by default the paths form one chunk per process, split "
+                             "above 4096 paths; results do not depend on it")
         if config_help is not None:
             sp.add_argument("--config", default=None, help=config_help)
 

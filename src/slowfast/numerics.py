@@ -287,7 +287,8 @@ def fit_exponential_decay(times, values, value_ceiling=None, value_floor=1e-12):
         keep &= v < value_ceiling
     t, v = t[keep], v[keep]
     if t.size < 2:
-        raise FitError("need at least two points inside the fit window")
+        window = f"{value_floor!r} < value" + ("" if value_ceiling is None else f" < {value_ceiling!r}")
+        raise FitError(f"need at least two points inside the fit window {window}, found {t.size}")
     slope, intercept, r2 = _log_linear_fit(t, v)
     return float(np.exp(intercept)), float(-slope), r2
 

@@ -15,7 +15,8 @@ Randomness
 Every path owns counter-based streams keyed by (seed, path index,
 equation tag, variant) through Philox. The key layout makes ensembles
 bit-identical at any chunking and worker count (``workers > 1`` runs whole
-chunks in forked processes, at most one per chunk and usable core). The
+chunks in forked processes, at most one per chunk and usable core; by
+default one equal chunk per process, split further above 4096 paths). The
 Philox keys of a chunk's paths are hashed together, in uint32 arithmetic
 over the chunk, to the bits numpy's SeedSequence gives each path alone
 (``path_stream``). A simulator names only the (equation tag, variant)
@@ -51,7 +52,7 @@ EQ_AVG = 2
 
 _STORE_MODES = ("terminal", "full", "strided")
 # SimConfig fields by their annotation (a string under postponed evaluation)
-_NUMBER_KINDS = {"int": numbers.Integral, "float": numbers.Real}
+_NUMBER_KINDS = {"int": numbers.Integral, "float": numbers.Real, "int | None": numbers.Integral}
 
 # dt may not exceed this multiple of epsilon in coupled runs; larger ratios
 # mean the caller is silently under-resolving the fast equation.
@@ -60,6 +61,9 @@ _STIFFNESS_GUARD = 0.1
 # bytes of one noise array's time block; smaller blocks pay the fixed cost
 # of a standard_normal call per path more often
 _BLOCK_BYTES = 16 << 20
+# paths of a default chunk at most: a 16 MiB block then still holds 512
+# steps per path, enough to amortise each path's standard_normal call
+_MAX_CHUNK = 4096
 # the live streams of the chunk this thread integrates, by stream key
 _LIVE = threading.local()
 # numpy SeedSequence's hash constants; path indices below 2**32 are one
@@ -100,11 +104,16 @@ class SimConfig:
     fast_substep : float
         Fast-grid calibration h0: coupled runs use h <= epsilon * h0,
         frozen runs h <= h0.
-    chunk_size : int
-        Paths integrated per vectorized block; affects memory only, never
-        results. A chunk's noise is drawn in time blocks of at most 16 MiB
+    chunk_size : int or None
+        Paths integrated per vectorized block; affects memory and speed,
+        never results. None (the default) gives each process of the run one
+        chunk of equal size, split further where that would exceed 4096
+        paths; an integer gives chunks of exactly that many paths, the last
+        one short. A chunk's noise is drawn in time blocks of at most 16 MiB
         per noise array, so the stored output is the one part of memory
-        that grows with the horizon.
+        that grows with the horizon. A blow-up is reported at the first
+        path and step of the first chunk that has one, so a default-chunk
+        run may name another path than a run in smaller chunks.
     """
 
     epsilon: float
@@ -117,13 +126,15 @@ class SimConfig:
     x0: float = 0.5
     y0: float = 1.0
     fast_substep: float = 1e-2
-    chunk_size: int = 1024
+    chunk_size: int | None = None
 
     def __post_init__(self):
         for f in fields(self):
             v, kind = getattr(self, f.name), _NUMBER_KINDS.get(f.type)
+            if v is None and f.type.endswith("| None"):
+                continue
             if kind and (isinstance(v, bool) or not isinstance(v, kind) or not abs(v) < np.inf):
-                word = "an integer" if f.type == "int" else "a finite real number"
+                word = "an integer" if kind is numbers.Integral else "a finite real number"
                 raise ConfigError(f"{f.name} must be {word}, got {v!r}")
         if self.seed < 0:
             raise ConfigError("seed must be nonnegative")
@@ -143,7 +154,7 @@ class SimConfig:
             raise ConfigError("stride must be at least 1")
         if self.fast_substep <= 0.0:
             raise ConfigError("fast_substep must be positive")
-        if self.chunk_size < 1:
+        if self.chunk_size is not None and self.chunk_size < 1:
             raise ConfigError("chunk_size must be at least 1")
 
     def n_slow_steps(self):
@@ -294,6 +305,22 @@ def _pool_size(workers, n_chunks):
     return min(_check_workers(workers), n_chunks, cores)
 
 
+def _layout(config, workers):
+    """The (p0, p1) path ranges of a run's chunks, in order, and the processes that run them.
+
+    An explicit ``chunk_size`` cuts chunks of that many paths. By default
+    each process gets an equal share of the paths, cut into equal chunks
+    of at most ``_MAX_CHUNK``: one chunk per process up to that size.
+    """
+    n = config.n_paths
+    if config.chunk_size is not None:
+        chunks = [(p0, min(p0 + config.chunk_size, n)) for p0 in range(0, n, config.chunk_size)]
+        return chunks, _pool_size(workers, len(chunks))
+    size = _pool_size(workers, n)
+    k = size * -(-n // (size * _MAX_CHUNK))
+    return [(i * n // k, (i + 1) * n // k) for i in range(k)], size
+
+
 def _adopt(runner):
     global _CHUNK_RUNNER  # exists in pool processes only
     _CHUNK_RUNNER = runner
@@ -314,7 +341,7 @@ def _run_chunk(bounds):
 
 
 def _euler_loop(config, stored, n_sub, streams, initial, step, workers=1):
-    """The Euler-Maruyama loop behind every simulator, one chunk of paths at a time.
+    """The Euler-Maruyama loop behind every simulator, one chunk of paths at a time (``_layout``).
 
     ``streams`` holds the (equation tag, variant) key of each noise array;
     the loop draws them with ``_draw_rows`` in blocks of whole slow steps, at
@@ -341,8 +368,7 @@ def _euler_loop(config, stored, n_sub, streams, initial, step, workers=1):
     """
     store_at = {int(j) * n_sub: k for k, j in enumerate(stored)}
     n_steps = config.n_slow_steps() * n_sub
-    chunks = [(p0, min(p0 + config.chunk_size, config.n_paths))
-              for p0 in range(0, config.n_paths, config.chunk_size)]
+    chunks, size = _layout(config, workers)
 
     def run(p0, p1, rows, r0):
         block = max(1, _BLOCK_BYTES // (8 * (p1 - p0) * n_sub)) * n_sub
@@ -384,7 +410,6 @@ def _euler_loop(config, stored, n_sub, streams, initial, step, workers=1):
         return rows
 
     out = [np.empty((config.n_paths, stored.size)) for _ in initial]
-    size = _pool_size(workers, len(chunks))
     if size == 1:
         for p0, p1 in chunks:
             run(p0, p1, out, p0)

@@ -8,15 +8,17 @@ from slowfast import (
     CoefficientSet,
     ConfigError,
     DegenerateDiffusionError,
+    DomainError,
     InfiniteMomentError,
     ModelSpec,
     averaged_diffusion,
     averaged_drift,
     build_averaged_model,
     discontinuity_probe,
+    get_builtin,
     holder_fit,
 )
-from slowfast.models import FULL_LINE, HALF_LINE, StateDomain
+from slowfast.models import FULL_LINE, HALF_LINE, AnalyticInfo, StateDomain
 
 
 def ou_like(b, sigma=None, name="adhoc-ou"):
@@ -177,6 +179,43 @@ def test_build_failure_names_the_node():
     )
     with pytest.raises(InfiniteMomentError, match="node x=0.0: the averaged drift is undefined"):
         build_averaged_model(grower, np.linspace(0.0, 1.0, 5))
+
+
+@pytest.mark.parametrize("name", ["example21", "ou-coupled", "pure-fast-l2"])
+def test_analytic_table_has_the_bits_of_the_closed_forms_node_by_node(name):
+    model = get_builtin(name)
+    lo, hi = (0.0, 1.0) if name == "example21" else (-20.0, 20.0)
+    grids = [np.linspace(lo, hi, 4097), np.sort(np.random.default_rng(3).uniform(lo, hi, 1000))]
+    for grid in grids:
+        avg = build_averaged_model(model, grid)
+        assert avg.method == "analytic"
+        for table, closed_form in ((avg.b_bar, model.analytic.averaged_drift),
+                                   (avg.a_bar, model.analytic.averaged_diffusion)):
+            by_node = np.array([float(closed_form(x)) for x in grid])
+            np.testing.assert_array_equal(table.view(np.int64), by_node.view(np.int64))
+
+
+def test_mixed_and_failing_analytic_builds_name_the_node():
+    # sigma^2 = e^{y^2/2} has no mean under the standard normal law from x = 0.5 on
+    grower = ou_like(
+        b=lambda x, y: 0.0,
+        sigma=lambda x, y: np.exp(np.minimum(y ** 2 / 4.0, 350.0)) if x >= 0.5 else 1.0,
+        name="second-moment-diverges-past-a-half",
+    )
+    mixed = replace(grower, analytic=AnalyticInfo(averaged_drift=lambda x: np.zeros(np.shape(x))))
+    with pytest.raises(InfiniteMomentError, match="node x=0.5: the averaged squared dispersion is undefined"):
+        build_averaged_model(mixed, np.linspace(0.0, 1.0, 5))
+
+    def refuses_past_a_half(x):
+        if np.any(np.asarray(x) > 0.6):
+            raise DomainError(f"no closed form at {x}")
+        return np.ones(np.shape(x))
+
+    closed = replace(mixed, analytic=AnalyticInfo(averaged_drift=lambda x: np.zeros(np.shape(x)),
+                                                  averaged_diffusion=refuses_past_a_half))
+    with pytest.raises(DomainError, match="node x=0.75: no closed form"):
+        build_averaged_model(closed, np.linspace(0.0, 1.0, 5))
+    assert build_averaged_model(closed, np.linspace(0.0, 0.5, 5)).method == "analytic"
 
 
 def test_averaged_model_validation():

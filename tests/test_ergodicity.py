@@ -162,6 +162,27 @@ def test_log_recurrence_is_a_geometric_sum(a):
     np.testing.assert_allclose(v[1:], expected, rtol=1e-13, atol=0.0)
 
 
+def _numpy_log_recurrence(a, b):
+    v = [-np.inf]
+    for ai, bi in zip(a.tolist(), b.tolist()):
+        v.append(np.logaddexp(v[-1] + ai, bi))
+    return np.array(v)
+
+
+_LADDER_FLOATS = st.one_of(st.floats(-1e3, 1e3), st.sampled_from([np.inf, -np.inf, np.nan, -np.nan]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(pairs=st.lists(st.tuples(_LADDER_FLOATS, _LADDER_FLOATS), max_size=40))
+def test_log_recurrence_has_the_bits_of_numpy_logaddexp(pairs):
+    a = np.array([p[0] for p in pairs], dtype=float)
+    b = np.array([p[1] for p in pairs], dtype=float)
+    with np.errstate(invalid="ignore"):  # np.logaddexp flags comparisons with NaN
+        expected, got = _numpy_log_recurrence(a, b), _log_recurrence(a, b)
+    # the int64 view compares NaN signs and payloads too
+    np.testing.assert_array_equal(got.view(np.int64), expected.view(np.int64))
+
+
 def test_flux_operator_keeps_the_ito_form():
     # with a non-constant diffusion D the zero-flux state of
     # u_t = -(b u)' + (D u)'' is exp(int b/D) / D; the 1/D factor exists
@@ -340,6 +361,17 @@ def test_tv_decay_rate_matches_spectral_gap(ou):
     assert np.all(np.diff(curve.values) < 0)
     assert curve.fit["rate"] == pytest.approx(1.0, abs=0.05)
     assert curve.fit["r_squared"] > 0.999
+
+
+def test_a_curve_without_a_fit_says_so(example21):
+    # TV falls from 0.776 to 9.1e-5; only the first value lies in the window (1e-3, 1)
+    curve = tv_decay_curve(example21, 0.5, 3.0, [1.0, 37.2])
+    assert curve.values[0] > 0.7 and curve.values[1] < 1e-4
+    assert curve.fit == {"amplitude": None, "rate": None, "r_squared": None,
+                         "reason": "need at least two points inside the fit window 0.001 < value < 1.0, found 1"}
+    fitted = tv_decay_curve(example21, 0.5, 3.0, [1.0, 2.0, 37.2])
+    assert sorted(fitted.fit) == ["amplitude", "r_squared", "rate"]
+    assert fitted.fit["rate"] > 0.0
 
 
 def test_w1_coupling_decay_rate(ou):

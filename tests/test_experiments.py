@@ -410,6 +410,14 @@ def test_cli_artifact_and_manifest(tmp_path):
     assert "--out" in manifest["params"]["argv"]
 
 
+def test_cli_decay_without_a_fit_reports_null_rate(capsys):
+    # the README example: one value inside the fit window, so no rate at all rather than 0
+    assert cli_main(["decay", "--model", "example21", "--x", "0.5", "--y0", "3", "--times", "1,37.2"]) == 0
+    fit = json.loads(capsys.readouterr().out)["fit"]
+    assert (fit["rate"], fit["r_squared"]) == (None, None)
+    assert "fit window" in fit["reason"]
+
+
 def test_cli_l2fail_rejects_other_model(capsys):
     code = cli_main(["l2fail", "--model", "ou-coupled", "--epsilons", "0.1"])
     assert code == 3
@@ -440,6 +448,23 @@ def test_rerun_from_manifest_is_bit_identical(tmp_path):
     manifest = json.loads((tmp_path / "conv-rerun.json.manifest.json").read_text())
     assert str(second) in manifest["params"]["argv"]
     assert manifest["params"]["workers"] == 3
+
+
+@pytest.mark.parametrize("command", ["l2fail", "converge"])
+def test_manifest_with_default_chunks_replays_byte_for_byte(tmp_path, command):
+    # the default chunk_size is null, whether the config file names it or not
+    model = [] if command == "l2fail" else ["--model", "ou-coupled"]
+    for name, fields in (("named", {"chunk_size": None}), ("unnamed", {})):
+        cfg = tmp_path / f"{name}.json"
+        cfg.write_text(json.dumps({"n_paths": 40, "horizon": 0.2, "dt": 0.01, "x0": 0.0, "y0": 0.0, **fields}))
+        out = tmp_path / f"{command}-{name}.json"
+        argv = [command, *model, "--epsilons", "0.5,0.25", "--config", str(cfg), "--seed", "4", "--out", str(out)]
+        assert cli_main(argv) == 0
+        manifest_path = tmp_path / f"{out.name}.manifest.json"
+        first = out.read_bytes(), manifest_path.read_bytes()
+        assert json.loads(first[1])["params"]["sim_config"]["chunk_size"] is None
+        assert rerun_from_manifest(str(manifest_path)) == 0
+        assert (out.read_bytes(), manifest_path.read_bytes()) == first
 
 
 @pytest.mark.parametrize("command", ["l2fail", "converge"])

@@ -459,11 +459,11 @@ _BLOCK_CONFIG = SimConfig(epsilon=0.1, dt=0.01, horizon=0.2, n_paths=37, seed=6,
                           chunk_size=8, store="full")
 
 _BLOCK_RUNS = {
-    "coupled": (lambda m, w: simulate_coupled(m, _BLOCK_CONFIG, workers=w), (1, 2)),
-    "paired": (lambda m, w: simulate_paired(m, flat_brownian(), _BLOCK_CONFIG, workers=w), (1, 2)),
-    "averaged": (lambda m, w: simulate_averaged(flat_brownian(), _BLOCK_CONFIG, variant=3, workers=w), (1, 2)),
-    "frozen": (lambda m, w: simulate_frozen(m, 0.5, _BLOCK_CONFIG), (1,)),
-    "pair-gap": (lambda m, w: frozen_pair_gap(m, 0.5, _BLOCK_CONFIG, -1.0), (1,)),
+    "coupled": (lambda m, cfg, w: simulate_coupled(m, cfg, workers=w), (1, 2)),
+    "paired": (lambda m, cfg, w: simulate_paired(m, flat_brownian(), cfg, workers=w), (1, 2)),
+    "averaged": (lambda m, cfg, w: simulate_averaged(flat_brownian(), cfg, variant=3, workers=w), (1, 2)),
+    "frozen": (lambda m, cfg, w: simulate_frozen(m, 0.5, cfg), (1,)),
+    "pair-gap": (lambda m, cfg, w: frozen_pair_gap(m, 0.5, cfg, -1.0), (1,)),
 }
 
 
@@ -478,12 +478,12 @@ def test_noise_blocks_match_full_row_draws(ou, monkeypatch, name, block_bytes):
     with monkeypatch.context() as m:
         m.setattr(simulate_module, "_draw_rows", _full_row_oracle)
         m.setattr(simulate_module, "_BLOCK_BYTES", 1 << 62)
-        oracle = _arrays(run(ou, 1))
+        oracle = _arrays(run(ou, _BLOCK_CONFIG, 1))
     monkeypatch.setattr(simulate_module, "_BLOCK_BYTES", block_bytes)
     for workers in worker_counts:
         if workers > 1 and _pool_size(workers, 2) < 2:
             continue  # the serial fallback would compare the serial loop with itself
-        blocked = _arrays(run(ou, workers))
+        blocked = _arrays(run(ou, _BLOCK_CONFIG, workers))
         assert len(blocked) == len(oracle)
         for a, b in zip(oracle, blocked):
             np.testing.assert_array_equal(a, b)
@@ -618,3 +618,71 @@ def test_noise_memory_does_not_grow_with_the_horizon(ou, monkeypatch, run, n_noi
     assert abs(long - short) <= 0.1 * short
     # the blocks, plus per path its streams (about 4 KiB each), state, temporaries and output
     assert long <= n_noise * simulate_module._BLOCK_BYTES + config.n_paths * (32 << 10)
+
+
+@pytest.mark.parametrize("name", list(_BLOCK_RUNS))
+def test_default_chunks_give_the_ensembles_of_explicit_chunks(ou, name):
+    # 37 paths by default: one chunk at workers 1, two (18 and 19 paths) at workers 2
+    run, worker_counts = _BLOCK_RUNS[name]
+    reference = _arrays(run(ou, replace(_BLOCK_CONFIG, chunk_size=1024), 1))
+    for chunk_size in (None, 1024, 5):
+        for workers in worker_counts:
+            arrays = _arrays(run(ou, replace(_BLOCK_CONFIG, chunk_size=chunk_size), workers))
+            assert len(arrays) == len(reference)
+            for a, b in zip(reference, arrays):
+                np.testing.assert_array_equal(a, b, err_msg=f"chunk_size={chunk_size}, workers={workers}")
+            assert multiprocessing.active_children() == []
+
+
+def test_default_chunks_past_the_cap_give_the_ensembles_of_explicit_chunks():
+    # 9000 paths: three default chunks at workers 1, four at workers 2
+    config = SimConfig(epsilon=1.0, dt=0.01, horizon=0.05, n_paths=9000, seed=8, x0=0.0, store="full")
+    reference = simulate_averaged(flat_brownian(), replace(config, chunk_size=1024)).slow
+    for workers in (1, 2):
+        np.testing.assert_array_equal(simulate_averaged(flat_brownian(), config, workers=workers).slow, reference)
+        assert multiprocessing.active_children() == []
+
+
+def _chunk_bounds_as_noise(seed, p0, p1, tag, variant, n_draws):
+    # every path of a chunk draws p0 first, then p1
+    rows = np.full((p1 - p0, n_draws), float(p1))
+    rows[:, 0] = p0
+    return rows
+
+
+@pytest.mark.parametrize(
+    "n_paths, workers, chunks",
+    [
+        (1, 1, [(0, 1)]),
+        (37, 1, [(0, 37)]),
+        (4096, 1, [(0, 4096)]),
+        (4097, 1, [(0, 2048), (2048, 4097)]),
+        (10000, 1, [(0, 3333), (3333, 6666), (6666, 10000)]),
+        (1, 2, [(0, 1)]),
+        (37, 2, [(0, 18), (18, 37)]),
+        (8192, 2, [(0, 4096), (4096, 8192)]),
+        (10000, 2, [(0, 2500), (2500, 5000), (5000, 7500), (7500, 10000)]),
+    ],
+)
+def test_default_layout_is_one_chunk_per_process_of_at_most_4096_paths(monkeypatch, n_paths, workers, chunks):
+    if workers > 1 and _pool_size(workers, 2) < 2:
+        pytest.skip("workers=2 runs serially here: one usable core or another thread alive")
+    # unit steps of driftless unit-dispersion Brownian motion from 0: each
+    # path's states are p0 and p0 + p1 of its chunk, from pool processes too
+    monkeypatch.setattr(simulate_module, "_draw_rows", _chunk_bounds_as_noise)
+    config = SimConfig(epsilon=1.0, dt=1.0, horizon=2.0, n_paths=n_paths, seed=0, x0=0.0, store="full")
+    slow = simulate_averaged(flat_brownian(), config, workers=workers).slow
+    p0, p1 = slow[:, 1], slow[:, 2] - slow[:, 1]
+    starts = np.flatnonzero(np.diff(p0, prepend=-1.0))
+    assert [(int(p0[i]), int(p1[i])) for i in starts] == chunks
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("chunk_size", [0, -3, True, 2.5, "8", np.inf])
+def test_chunk_size_is_none_or_a_positive_integer(chunk_size):
+    base = SimConfig(epsilon=1.0, dt=0.1, horizon=1.0, n_paths=4, seed=0)
+    assert base.chunk_size is None
+    assert replace(base, chunk_size=None).chunk_size is None
+    assert replace(base, chunk_size=np.int64(3)).chunk_size == 3
+    with pytest.raises(ConfigError, match="chunk_size must be"):
+        replace(base, chunk_size=chunk_size)
