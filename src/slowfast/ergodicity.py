@@ -41,12 +41,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import ConfigError, ConservationError, FitError
 from .metrics import tv_distance
 from .models import FULL_LINE, INTERVAL, ModelSpec
-from .numerics import cumulative_gauss, fit_exponential_decay, log_trapezoid, march
+from .numerics import cumulative_gauss, fit_exponential_decay, log_trapezoid, logsumexp, march
 from .simulate import SimConfig, frozen_pair_gap
 from .stationary import (_PDE_CELLS, Density1D, _default_pde_grid, _frozen_axis, _frozen_generator, _mode,
                          _segments, stationary_density)

@@ -27,12 +27,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
-from scipy.optimize import linprog
-from scipy.sparse import diags, vstack
 
 from .errors import ConfigError, ResolutionError, SlowfastError
-from .numerics import abs_linear_integral, check_tail_decays, union_grid
+from .numerics import abs_linear_integral, check_tail_decays, cumulative_trapezoid, union_grid
 from .stationary import Density1D, EmpiricalMeasure
 
 ATOM_CAP = 512
@@ -152,7 +149,7 @@ def _atomize_density(d: Density1D, n_atoms):
     # equal-mass bins; each atom sits at its bin's mass centroid
     edges_q = np.linspace(0.0, 1.0, n_atoms + 1)
     edges_y = np.interp(edges_q, d.cdf, d.grid)
-    m1 = cumulative_trapezoid(d.grid * d.values, d.grid, initial=0.0)
+    m1 = cumulative_trapezoid(d.grid * d.values, d.grid)
     m1_at = np.interp(edges_y, d.grid, m1)
     centroids = (m1_at[1:] - m1_at[:-1]) * n_atoms
     lo, hi = edges_y[:-1], edges_y[1:]
@@ -175,6 +172,9 @@ def atomize(measure, n_atoms=DEFAULT_ATOMS):
 
 
 def _transport_cost(u, wu, v, wv):
+    from scipy.optimize import linprog
+    from scipy.sparse import diags, vstack
+
     # up to a constant, f is 1-Lipschitz for min(|u - v|, 2) on the sorted
     # atoms exactly when 0 <= f <= 2 and |f_{i+1} - f_i| <= gap_i
     points, at = np.unique(np.concatenate([u, v]), return_inverse=True)

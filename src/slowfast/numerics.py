@@ -8,6 +8,15 @@ mirror reflection, the least-squares fits of the decay and Holder studies,
 and ``check_tail_decays``, the one judge of whether an integral against a
 tabulated law has a tail that decays.
 
+Four sum kernels stand in for scipy's: ``trapezoid``, ``cumulative_trapezoid``
+(always zero at the first node), ``logsumexp`` and ``simpson``. Each copies
+scipy 1.17's order of operations, so on 1-D float input it gives scipy's
+bits, and importing this package loads no scipy module. The compiled solvers,
+LAPACK's tridiagonal LU in ``march``, ``eigh_tridiagonal`` in
+``spectral_gap`` and, elsewhere, HiGHS in ``metrics`` and ``quad`` in
+``stationary.potential``, are imported inside the function that calls them,
+once per call.
+
 ``march`` chooses its own step count by step doubling: 16 steps, then 32,
 64, ..., until the change between two levels, over 3, is at most
 ``MARCH_TOLERANCE`` = 1e-6 in vol-weighted L1 relative to the state's mass;
@@ -18,14 +27,75 @@ from __future__ import annotations
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.integrate import cumulative_trapezoid, simpson
-from scipy.linalg import eigh_tridiagonal
-from scipy.linalg.lapack import dgttrf, dgttrs
-from scipy.special import logsumexp
 
 from .errors import ConservationError, FitError, InfiniteMomentError
 
 _GL_NODES, _GL_WEIGHTS = leggauss(10)
+
+
+def trapezoid(y, x):
+    """Trapezoid integral of ``y`` over the grid ``x``."""
+    return np.sum((x[1:] - x[:-1]) * (y[1:] + y[:-1]) / 2.0)
+
+
+def cumulative_trapezoid(y, x):
+    """Running trapezoid integral of ``y`` over the grid ``x``, zero at x[0]."""
+    out = np.zeros(len(y))
+    np.cumsum(np.diff(x) * (y[1:] + y[:-1]) / 2.0, out=out[1:])
+    return out
+
+
+def logsumexp(a):
+    """log(sum(exp(a))) without overflow; -inf for an empty ``a``.
+
+    The entries at the maximum m are taken out of the shifted sum s, so
+    the result is log1p(s / count) + log(count) + m; where that is not
+    finite (all -inf, a +inf or a NaN) it is log(sum(exp(a))) itself.
+    """
+    a = np.asarray(a, dtype=float)
+    if a.size == 0:
+        return np.float64(-np.inf)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        top = np.max(a)
+        at_top = a == top
+        count = np.count_nonzero(at_top)
+        s = np.sum(np.exp(np.where(at_top, -np.inf, a) - top))
+        out = np.log1p(s if s == 0 else s / count) + np.log(count) + top
+        return out if np.isfinite(out) else np.log(np.sum(np.exp(a)))
+
+
+def _ratio(num, den):
+    """num / den, zero where den is zero."""
+    return np.divide(num, den, out=np.zeros_like(den), where=den != 0)
+
+
+def simpson(y, x):
+    """Composite Simpson integral of ``y`` over the (possibly irregular) grid ``x``.
+
+    Pairs of panels from the left take the irregular three-point rule; an
+    even node count adds Cartwright's correction for the last panel, and
+    two nodes are a trapezoid.
+    """
+    n = len(y)
+    if n == 2:
+        return 0.0 + 0.5 * (x[-1] - x[-2]) * (y[-1] + y[-2])
+    stop = n - 2 if n % 2 else n - 3
+    h = np.diff(x)
+    h0, h1 = h[0:stop:2], h[1:stop + 1:2]
+    y0, y1, y2 = y[0:stop:2], y[1:stop + 1:2], y[2:stop + 2:2]
+    hsum = h0 + h1
+    h0divh1 = _ratio(h0, h1)
+    result = np.sum(hsum / 6.0 * (y0 * (2.0 - _ratio(1.0, h0divh1)) + y1 * (hsum * _ratio(hsum, h0 * h1))
+                                  + y2 * (2.0 - h0divh1)))
+    if n % 2:
+        return result
+    # 0-d arrays: their powers run numpy's array loops, a float64 scalar's do not
+    h0, h1 = np.asarray(h[-2]), np.asarray(h[-1])
+    alpha = _ratio(2 * h1**2 + 3 * h0 * h1, 6 * (h1 + h0))
+    beta = _ratio(h1**2 + 3.0 * h0 * h1, 6 * h0)
+    eta = _ratio(h1**3, 6 * h0 * (h0 + h1))
+    # scipy adds 0.0 last (the N = 2 case first), which turns a -0.0 into 0.0
+    return result + (alpha * y[-1] + beta * y[-2] - eta * y[-3]) + 0.0
 
 
 def gauss_panels(func, edges):
@@ -73,7 +143,7 @@ def equidistribute(probe, weight, n):
     come from inverting the cumulative weight integral, so regions where the
     weight is large receive proportionally more nodes.
     """
-    cw = cumulative_trapezoid(weight, probe, initial=0.0)
+    cw = cumulative_trapezoid(weight, probe)
     targets = np.linspace(0.0, cw[-1], n)
     grid = np.interp(targets, cw, probe)
     grid[0] = probe[0]
@@ -181,6 +251,8 @@ def _rannacher_crank_nicolson(bands, u, duration, n_steps):
     with dt mu >> 1 ringing; all steps solve with I - (dt/2) A, LU-factored once per call, and a
     Crank-Nicolson step is u -> 2 (I - (dt/2) A)^-1 u - u, since I + (dt/2) A = 2 I - (I - (dt/2) A).
     """
+    from scipy.linalg.lapack import dgttrf, dgttrs
+
     lower, diag, upper = bands
     scale = duration / n_steps / 2.0
     dl, d, du, du2, ipiv, info = dgttrf(-scale * lower, 1.0 - scale * diag, -scale * upper)
@@ -206,6 +278,8 @@ def _rannacher_crank_nicolson(bands, u, duration, n_steps):
 def spectral_gap(bands):
     """Minus the second eigenvalue of the reversible A of ``_flux_operator``, solved on the
     similar symmetric tridiagonal with off-diagonal sqrt(lower * upper)."""
+    from scipy.linalg import eigh_tridiagonal
+
     lower, diag, upper = bands
     n = diag.size
     top = eigh_tridiagonal(diag, np.sqrt(lower * upper), eigvals_only=True, select="i", select_range=(n - 2, n - 1))
@@ -219,8 +293,8 @@ def simpson_ratio(numerator, denominator, grid):
     which is what makes density-weighted averages accurate even when the
     stored density is normalized by the cruder trapezoid rule.
     """
-    num = simpson(numerator, x=grid)
-    den = simpson(denominator, x=grid)
+    num = simpson(numerator, grid)
+    den = simpson(denominator, grid)
     return num / den
 
 

@@ -42,11 +42,11 @@ from dataclasses import dataclass
 from itertools import islice
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid, quad, trapezoid
 
 from .errors import ConfigError, DegenerateDiffusionError, NotPositiveRecurrentError
 from .models import FULL_LINE, INTERVAL, ModelSpec, StateDomain, _evaluate
-from .numerics import _flux_operator, check_tail_decays, cumulative_gauss, curvature_weight, equidistribute, gauss_panels, log_trapezoid, spectral_gap
+from .numerics import (_flux_operator, check_tail_decays, cumulative_gauss, cumulative_trapezoid, curvature_weight, equidistribute,
+                       gauss_panels, log_trapezoid, spectral_gap, trapezoid)
 from .simulate import SimConfig, simulate_frozen
 
 DEFAULT_GRID_POINTS = 4096
@@ -88,7 +88,7 @@ class Density1D:
         if not np.isfinite(total) or total <= 0.0:
             raise NotPositiveRecurrentError("unnormalized density has no finite positive mass")
         values = raw / total
-        cdf = cumulative_trapezoid(values, grid, initial=0.0)
+        cdf = cumulative_trapezoid(values, grid)
         cdf /= cdf[-1]
         values.flags.writeable = False
         cdf.flags.writeable = False
@@ -171,6 +171,8 @@ def potential(model: ModelSpec, x, y, y_ref=None) -> float:
 
     ``y_ref`` defaults to the fast domain's lower bound, or 0 on the line.
     """
+    from scipy.integrate import quad
+
     ratio, log_gsq = _frozen_axis(model, x)
     anchor = model.fast_domain.anchor() if y_ref is None else float(y_ref)
     yv = float(y)

@@ -114,7 +114,9 @@ def test_criterion_5_stationary_machinery_cross_check(example21, ou):
     rho_ou = stationary_density(ou, 1.0)
     assert w1_distance(emp_ou, rho_ou) < 0.03
 
-    # twenty relaxation times, taking each model's own fitted decay rate
+    # example21 marches to 20 / (fitted TV rate 0.538) = 37.2, which is only
+    # 2.3 / lambda(0.5) (gap 0.0631), not twenty relaxation times; ou-coupled
+    # has gap 1, so its t = 20 is twenty
     rate = tv_decay_curve(example21, 0.5, 3.0, np.linspace(1.0, 4.0, 7)).fit["rate"]
     assert tv_distance(forward_pde_solve(example21, 0.5, 3.0, 20.0 / rate), rho_e21) < 1e-3
     assert tv_distance(forward_pde_solve(ou, 1.0, 3.0, 20.0), rho_ou) < 1e-3

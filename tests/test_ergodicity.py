@@ -15,6 +15,7 @@ from slowfast import (
     tv_distance,
     w1_decay_coupling,
 )
+import scipy.linalg.lapack
 from scipy.linalg.lapack import dgttrf, dgttrs
 
 from slowfast import ergodicity, numerics
@@ -338,7 +339,7 @@ def test_criterion_5_march_solves_few_systems(monkeypatch, example21):
         solves.append(1)
         return dgttrs(*args)
 
-    monkeypatch.setattr(numerics, "dgttrs", counting)
+    monkeypatch.setattr(scipy.linalg.lapack, "dgttrs", counting)
     forward_pde_solve(example21, 0.5, 3.0, 37.15)
     assert 0 < len(solves) <= 256
 

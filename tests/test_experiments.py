@@ -159,6 +159,51 @@ def test_python_m_entry_point_lists_models():
     assert [r["name"] for r in json.loads(done.stdout)] == ["example21", "ou-coupled", "pure-fast-l2"]
 
 
+_SCIPY_PROBE = """
+import sys
+import slowfast
+from slowfast.experiments import cli_main
+if sys.argv[1:] and cli_main(sys.argv[1:]) != 0:
+    sys.exit("the command failed")
+print(sorted(name for name in sys.modules if name.startswith("scipy")))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["list-models"],
+        ["l2fail", "--epsilons", "0.1,0.03", "--config", "CFG"],
+        ["converge", "--model", "ou-coupled", "--epsilons", "0.1,0.03", "--config", "CFG"],
+        ["stationary", "--model", "example21", "--x", "0.5"],
+        ["averaged", "--model", "ou-coupled", "--x-grid=-1:1:0.25"],
+        ["classify", "--model", "example21", "--x", "0.5"],
+        ["probe", "--model", "example21", "--x0", "0.0"],
+        ["distance", "--model", "example21", "--metric", "w1", "--x1", "0.1", "--x2", "0.0"],
+        ["holder", "--model", "example21", "--metric", "tv", "--pairs", "0.3,0.0;0.1,0.0"],
+        ["decay", "--model", "ou-coupled", "--x", "0", "--y0", "3", "--y-other=-1", "--times", "1,2", "--mode", "coupling",
+         "--config", "PATHS"],
+    ],
+    ids=["import", "list-models", "l2fail", "converge", "stationary", "averaged", "classify", "probe", "distance-w1",
+         "holder-tv", "decay-coupling"],
+)
+def test_plain_sums_never_load_scipy(tmp_path, argv):
+    # scipy is imported only inside the compiled solvers: march's LAPACK
+    # (decay --mode pde), the spectral gap, wbl's linear program and potential's quad
+    files = {"CFG": '{"n_paths": 64, "horizon": 0.5}', "PATHS": '{"n_paths": 64}'}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / a) if a in files else a for a in argv] + (["--out", str(tmp_path / "out.json")] if argv else [])
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    done = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE, *argv], cwd=root, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
 def _readme_commands():
     # every `slowfast ...` invocation the README shows, in a code block or inline
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text()

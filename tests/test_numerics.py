@@ -1,11 +1,87 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.integrate import cumulative_trapezoid as scipy_cumulative, simpson as scipy_simpson, trapezoid as scipy_trapezoid
+from scipy.special import logsumexp as scipy_logsumexp
 
 from slowfast import ConservationError, InfiniteMomentError, moment, w1_distance
 from slowfast.models import FULL_LINE, INTERVAL, StateDomain
-from slowfast.numerics import _flux_operator, check_tail_decays, cumulative_gauss, march, spectral_gap
+from slowfast.numerics import (_flux_operator, check_tail_decays, cumulative_gauss, cumulative_trapezoid, logsumexp, march,
+                               simpson, spectral_gap, trapezoid)
 from slowfast.stationary import Density1D
+
+
+def same_bits(ours, theirs):
+    ours, theirs = np.asarray(ours), np.asarray(theirs)
+    return ours.dtype == theirs.dtype and ours.shape == theirs.shape and ours.tobytes() == theirs.tobytes()
+
+
+log_terms = st.lists(
+    st.one_of(st.floats(-800.0, 800.0), st.sampled_from([0.0, -1.5, 3.25, -np.inf, np.inf, np.nan])),
+    max_size=40,
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(log_terms)
+def test_logsumexp_gives_scipys_bits(terms):
+    a = np.array(terms, dtype=float)
+    assert same_bits(logsumexp(a), scipy_logsumexp(a))
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [[], [-np.inf], [-np.inf] * 5, [np.inf, 0.0], [np.nan, 1.0], [2.0, 2.0, -1.0], [1e308, 1e308], [-1e308, -np.inf]],
+)
+def test_logsumexp_gives_scipys_bits_at_the_edges(terms):
+    a = np.array(terms, dtype=float)
+    assert same_bits(logsumexp(a), scipy_logsumexp(a))
+
+
+@st.composite
+def sampled_functions(draw, min_size):
+    """(x, y) on n nodes, min_size <= n <= 601; x uniform or not, y from a drawn seed."""
+    n = draw(st.integers(min_size, 601))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    gaps = np.full(n - 1, rng.uniform(1e-3, 10.0)) if draw(st.booleans()) else rng.uniform(1e-3, 10.0, n - 1)
+    x = rng.uniform(-100.0, 100.0) + np.concatenate([[0.0], np.cumsum(gaps)])
+    return x, rng.uniform(-1e6, 1e6, n)
+
+
+@settings(max_examples=500, deadline=None)
+@given(sampled_functions(min_size=2))
+def test_simpson_gives_scipys_bits(case):
+    x, y = case
+    assert same_bits(simpson(y, x), scipy_simpson(y, x=x))
+
+
+@settings(max_examples=300, deadline=None)
+@given(sampled_functions(min_size=1))
+def test_trapezoids_give_scipys_bits(case):
+    x, y = case
+    assert same_bits(trapezoid(y, x), scipy_trapezoid(y, x))
+    assert same_bits(cumulative_trapezoid(y, x), scipy_cumulative(y, x, initial=0.0))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_small_grids_give_scipys_bits(n):
+    x = np.array([0.0, 0.1, 0.35, 0.4, 1.3])[:n]
+    # negative zeros: scipy's Simpson adds 0.0 last, which makes its zero positive
+    for y in (np.array([1.0, -2.0, 0.5, 3.0, -0.25])[:n], np.full(n, -0.0)):
+        assert same_bits(simpson(y, x), scipy_simpson(y, x=x))
+        assert same_bits(trapezoid(y, x), scipy_trapezoid(y, x))
+        assert same_bits(cumulative_trapezoid(y, x), scipy_cumulative(y, x, initial=0.0))
+
+
+def test_simpsons_last_panel_correction_gives_scipys_bits():
+    # on 4 and 6 nodes the even-N correction carries much of the sum; taking its
+    # powers of a float64 scalar, not a 0-d array, changes a few of these results
+    rng = np.random.default_rng(1)
+    for _ in range(2000):
+        n = rng.choice([4, 6])
+        x = np.concatenate([[0.0], np.cumsum(rng.uniform(1e-3, 10.0, n - 1))])
+        y = rng.uniform(-1.0, 1.0, n)
+        assert same_bits(simpson(y, x), scipy_simpson(y, x=x))
 
 
 def raises(grid, integrand, lower, upper):

@@ -220,6 +220,14 @@ def test_burn_in_is_ten_relaxation_times_capped_at_half_the_horizon(ou, horizon,
     assert stationary._estimate_burn_in(ou, 1.0, cfg) == pytest.approx(expected, rel=1e-4)
 
 
+def test_criterion_5_burn_in_is_the_half_horizon_cap(example21):
+    # 10 / lambda(0.5) is about 158, so the T/2 cap of 30 binds and the
+    # pooled samples start only 1.9 relaxation times after the start
+    assert 10.0 / stationary._spectral_gap(example21, 0.5) == pytest.approx(158.4, rel=1e-3)
+    cfg = SimConfig(epsilon=1.0, dt=0.02, horizon=60.0, n_paths=4000, seed=42, x0=0.5, y0=1.0, store="full")
+    assert stationary._estimate_burn_in(example21, 0.5, cfg) == 30.0
+
+
 @pytest.mark.parametrize(
     "name, x",
     [("example21", 0.0), ("example21", 0.5), ("example21", 1.0), ("ou-coupled", -5.0),
