@@ -18,9 +18,9 @@ Every public runner embeds its full parameter set in the report, and the
 CLI writes a run manifest next to each artifact so any result can be
 reproduced bit for bit (random streams are keyed per path). The runners
 and the CLI take a worker count, which the manifest records: the
-simulators integrate whole path chunks in up to that many forked
-processes, by default one chunk per process, and every number is the same
-at any count.
+simulators fork up to that many children, which write their path chunks
+into one shared output (by default one chunk each; a killed child raises
+SlowfastError), and every number is the same at any count.
 
 Each subcommand handler only computes: it returns the report payload, the
 manifest parameters, and either None (the csv form is the payload's
@@ -156,9 +156,9 @@ def run_averaging_convergence(
 
     ``epsilon = inf`` is accepted as a surrogate that freezes the fast
     state at y0, giving the O(1) un-averaged gap the ladder descends from.
-    Every simulation runs its path chunks in up to ``workers`` forked
-    processes (by default one chunk per process, ``SimConfig.chunk_size``);
-    the report does not depend on the count.
+    Every simulation forks up to ``workers`` children writing its chunks
+    into one shared output (one chunk each by default; a killed child
+    raises SlowfastError); the report does not depend on the count.
     """
     _check_workers(workers)
     eps = _validate_epsilons(epsilons)
@@ -238,9 +238,9 @@ def run_l2_failure(config: SimConfig, epsilons, workers=1) -> L2Report:
     predicts: T times the invariant mean of (sigma(y) - sigmabar)^2.
     Terminal W1 against an independent averaged ensemble is reported
     alongside: the laws merge while the paths refuse to. Every simulation
-    runs its path chunks in up to ``workers`` forked processes (by default
-    one chunk per process, ``SimConfig.chunk_size``); the report does not
-    depend on the count.
+    forks up to ``workers`` children writing its chunks into one shared
+    output (one chunk each by default, ``SimConfig.chunk_size``; a killed
+    child raises SlowfastError); the report does not depend on the count.
     """
     _check_workers(workers)
     eps = _validate_epsilons(epsilons)

@@ -14,9 +14,9 @@ Randomness
 ----------
 Every path owns counter-based streams keyed by (seed, path index,
 equation tag, variant) through Philox. The key layout makes ensembles
-bit-identical at any chunking and worker count (``workers > 1`` runs whole
-chunks in forked processes, at most one per chunk and usable core; by
-default one equal chunk per process, split further above 4096 paths). The
+bit-identical at any chunking and worker count (``workers > 1`` forks at
+most one child per chunk and usable core, all writing into one shared
+output, and a killed child raises; by default one chunk per process). The
 Philox keys of a chunk's paths are hashed together, in uint32 arithmetic
 over the chunk, to the bits numpy's SeedSequence gives each path alone
 (``path_stream``). A simulator names only the (equation tag, variant)
@@ -33,7 +33,7 @@ pathwise comparisons of the two equations meaningful.
 
 from __future__ import annotations
 
-import multiprocessing
+import mmap
 import numbers
 import operator
 import os
@@ -43,7 +43,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import BlowUpError, ConfigError
+from .errors import BlowUpError, ConfigError, SlowfastError
 from .models import ModelSpec
 
 EQ_SLOW = 0
@@ -321,25 +321,6 @@ def _layout(config, workers):
     return [(i * n // k, (i + 1) * n // k) for i in range(k)], size
 
 
-def _adopt(runner):
-    global _CHUNK_RUNNER  # exists in pool processes only
-    _CHUNK_RUNNER = runner
-
-
-def _run_chunk(bounds):
-    """(True, rows) of one chunk, or (False, error) where it raised: the pool never sees an error."""
-    try:
-        return True, _CHUNK_RUNNER(*bounds)
-    except Exception as exc:
-        # an exception that does not unpickle would kill the pool's result
-        # thread and leave the parent waiting forever
-        try:
-            pickle.loads(pickle.dumps(exc))
-        except Exception:
-            exc = RuntimeError(repr(exc))
-        return False, exc
-
-
 def _euler_loop(config, stored, n_sub, streams, initial, step, workers=1):
     """The Euler-Maruyama loop behind every simulator, one chunk of paths at a time (``_layout``).
 
@@ -355,29 +336,27 @@ def _euler_loop(config, stored, n_sub, streams, initial, step, workers=1):
     each step replaces, which raises what a per-step check would have
     raised. Each component is stored at the slow step indices
     ``stored`` (increasing), each slow step spanning ``n_sub`` loop steps;
-    nothing is allocated for the others. With ``workers > 1`` whole chunks
-    run in a fork-context process pool and come back in chunk order, so
-    results and errors are the serial loop's. The pool is closed and
-    joined, never terminated: terminating it after a chunk error was seen
-    to hang its teardown under load, since a killed worker can leave a
-    queue lock held. That has two costs: after an error the remaining chunks
-    still run before the first error in chunk order is raised, and that
-    error no longer carries the pool's remote traceback as ``__cause__``.
-    Returns the stored times and one (n_paths, n_stored) array per state
-    component.
+    nothing is allocated for the others. With ``workers > 1`` child ``rank``
+    of ``size`` forked ones runs chunks ``rank, rank + size, ...``, writing
+    rows in place into one shared anonymous mapping, and stops at its first
+    error, pickled down its own pipe (a RuntimeError naming it if it would
+    not unpickle). With all reaped, the parent raises the lowest chunk's
+    error, the serial loop's, or a SlowfastError for a child that died
+    unreported, killed say by a signal. Returns the stored times and one
+    (n_paths, n_stored) array per state component.
     """
     store_at = {int(j) * n_sub: k for k, j in enumerate(stored)}
     n_steps = config.n_slow_steps() * n_sub
     chunks, size = _layout(config, workers)
 
-    def run(p0, p1, rows, r0):
+    def run(p0, p1):
         block = max(1, _BLOCK_BYTES // (8 * (p1 - p0) * n_sub)) * n_sub
 
         def put(k, state):
             col = store_at.get(k)
             if col is not None:
-                for o, v in zip(rows, state):
-                    o[r0:r0 + p1 - p0, col] = v
+                for o, v in zip(out, state):
+                    o[p0:p1, col] = v
 
         def advance(state, k0, n, noise, checked):
             # loop steps k0 + 1 .. k0 + n, the block's columns 0 .. n - 1
@@ -407,32 +386,53 @@ def _euler_loop(config, stored, n_sub, streams, initial, step, workers=1):
                 state = new if clean else advance(state, k0, n, noise, True)
         finally:
             del _LIVE.streams
-        return rows
 
-    out = [np.empty((config.n_paths, stored.size)) for _ in initial]
+    shape = (len(initial), config.n_paths, stored.size)
     if size == 1:
+        out = [np.empty(shape[1:]) for _ in initial]
         for p0, p1 in chunks:
-            run(p0, p1, out, p0)
+            run(p0, p1)
         return stored * config.dt, out
 
-    def child(p0, p1):
-        return run(p0, p1, [np.empty((p1 - p0, stored.size)) for _ in out], 0)
-
-    # fork hands the closures to the pool processes without pickling
-    pool = multiprocessing.get_context("fork").Pool(size, _adopt, (child,))
-    error = None
+    out = list(np.frombuffer(mmap.mmap(-1, 8 * np.prod(shape)), float).reshape(shape))
+    children, errors = [], []
     try:
-        for (p0, p1), (ok, result) in zip(chunks, pool.imap(_run_chunk, chunks)):
-            if ok:
-                for o, r in zip(out, result):
-                    o[p0:p1] = r
-            elif error is None:
-                error = result
+        for rank in range(size):
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                code = 1
+                try:
+                    for i in range(rank, len(chunks), size):
+                        run(*chunks[i])
+                    code = 0
+                except Exception as exc:
+                    try:  # the parent must be able to raise what it is sent
+                        pickle.loads(pickle.dumps(exc))
+                    except Exception:
+                        exc = RuntimeError(repr(exc))
+                    data = pickle.dumps((i, exc))
+                    while data:
+                        data = data[os.write(w, data):]
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(w)
+            children.append((pid, r))
     finally:
-        pool.close()
-        pool.join()
-    if error is not None:
-        raise error
+        # read each pipe to its end before reaping, so no child blocks on a full pipe
+        for pid, r in children:
+            data = b""
+            while part := os.read(r, 1 << 16):
+                data += part
+            os.close(r)
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            if code:
+                errors.append((len(chunks), SlowfastError(f"worker process {pid} died with exit code {code}")))
+            elif data:
+                errors.append(pickle.loads(data))
+    if errors:
+        raise min(errors, key=lambda e: e[0])[1]
     return stored * config.dt, out
 
 

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -24,11 +26,22 @@ def pure_fast():
 def forks():
     """Skip a worker-count test where ``workers=2`` would run serially.
 
-    On one usable core, or beside another thread, the pool falls back to the
-    serial loop, and comparing that loop with itself checks nothing.
+    On one usable core, or beside another thread, the Euler loop forks no
+    children and runs its chunks serially, and comparing that loop with
+    itself checks nothing.
     """
     if _pool_size(2, 2) < 2:
         pytest.skip("workers=2 runs serially here: one usable core or another thread alive")
+
+
+def assert_no_children():
+    """Fail if this process has a child, running or exited but not reaped.
+
+    ``os.waitpid(-1, WNOHANG)`` raises ChildProcessError only when there is
+    none; it returns (0, 0) for a running child and reaps an exited one.
+    """
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.fixture

@@ -3,7 +3,6 @@
 import ast
 import io
 import json
-import multiprocessing
 import os
 import re
 import shlex
@@ -28,6 +27,8 @@ from slowfast.experiments import (
     run_l2_failure,
 )
 from slowfast.simulate import SimConfig
+
+from conftest import assert_no_children
 
 
 # ---------------------------------------------------------------------------
@@ -512,9 +513,20 @@ def test_manifest_with_default_chunks_replays_byte_for_byte(tmp_path, command):
         assert (out.read_bytes(), manifest_path.read_bytes()) == first
 
 
+@pytest.mark.parametrize("x0", [0.5, 0.05])
+def test_example21_ladder_rises_away_from_the_averaged_law(example21, x0):
+    # the README's unexplained ladder at a small size: W1 grows from the frozen
+    # surrogate down to epsilon = 0.01, by several noise floors
+    cfg = SimConfig(epsilon=0.01, dt=0.01, horizon=1.0, n_paths=2000, seed=0, x0=x0)
+    report = run_averaging_convergence(example21, [np.inf, 0.1, 0.01], cfg)
+    frozen, mid, small = report.w1_terminal
+    assert frozen < mid < small
+    assert small - frozen > 4 * report.noise_floor
+
+
 @pytest.mark.parametrize("command", ["l2fail", "converge"])
 def test_cli_artifacts_do_not_depend_on_workers(tmp_path, command, forks):
-    # 40 paths in chunks of 16: the pool runs three chunks, the last one short
+    # 40 paths in chunks of 16: the forked children run three chunks, the last one short
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"n_paths": 40, "chunk_size": 16, "horizon": 0.2, "dt": 0.01, "x0": 0.0, "y0": 0.0}))
     model = [] if command == "l2fail" else ["--model", "ou-coupled"]
@@ -524,7 +536,7 @@ def test_cli_artifacts_do_not_depend_on_workers(tmp_path, command, forks):
         argv = [command, *model, "--epsilons", "0.5,0.25", "--config", str(cfg), "--seed", "4",
                 "--out", str(out), "--workers", str(workers)]
         assert cli_main(argv) == 0
-        assert multiprocessing.active_children() == []
+        assert_no_children()
         artifacts.append(out.read_bytes())
         manifest = json.loads((tmp_path / f"{out.name}.manifest.json").read_text())
         assert manifest["params"]["workers"] == workers
@@ -570,7 +582,7 @@ def test_cli_l2fail_blowup_diagnostic_does_not_depend_on_workers(tmp_path, capsy
         argv = ["l2fail", "--epsilons", "0.1", "--config", str(cfg), "--seed", "5", "--workers", str(workers)]
         assert cli_main(argv) == 3
         diagnostics.append(capsys.readouterr().err)
-        assert multiprocessing.active_children() == []
+        assert_no_children()
     assert json.loads(diagnostics[0])["error"] == "BlowUpError"
     assert json.loads(diagnostics[0])["path_index"] == 12
     assert diagnostics == [diagnostics[0]] * 3

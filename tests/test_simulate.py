@@ -1,5 +1,4 @@
 import multiprocessing
-import multiprocessing.pool
 import os
 import resource
 import signal
@@ -19,6 +18,7 @@ from slowfast import (
     Ensemble,
     ModelSpec,
     SimConfig,
+    SlowfastError,
     build_averaged_model,
     simulate_averaged,
     simulate_coupled,
@@ -28,6 +28,8 @@ from slowfast import (
 from slowfast.models import FULL_LINE, StateDomain
 from slowfast import simulate as simulate_module
 from slowfast.simulate import EQ_FAST, EQ_SLOW, _chunk_keys, _draw_rows, _pool_size, frozen_pair_gap, path_stream
+
+from conftest import assert_no_children
 
 
 def flat_brownian(span=200.0):
@@ -183,7 +185,7 @@ def test_ensembles_do_not_depend_on_workers(ou, run, forks):
         assert len(forked) == len(serial)
         for a, b in zip(serial, forked):
             np.testing.assert_array_equal(a, b)
-        assert multiprocessing.active_children() == []
+        assert_no_children()
 
 
 def test_pool_size_never_exceeds_chunks_or_cores():
@@ -364,7 +366,7 @@ def test_blowup_in_a_later_chunk_is_the_same_at_any_worker_count(run, forks):
         with pytest.raises(BlowUpError) as info:
             run(cfg, workers)
         seen.append((str(info.value), info.value.path_index, info.value.step))
-        assert multiprocessing.active_children() == []
+        assert_no_children()
     assert seen[0][1:] == (12, 833)
     assert seen == [seen[0]] * 3
 
@@ -389,14 +391,14 @@ def test_a_coefficient_error_reaches_the_caller_at_any_worker_count(forks):
     for workers in (1, 2):
         with pytest.raises(ValueError, match="bad coefficient"):
             simulate_coupled(_raising_model(ValueError("bad coefficient")), cfg, workers=workers)
-        assert multiprocessing.active_children() == []
+        assert_no_children()
     odd = _raising_model(_TwoArgError("bad coefficient", "x = 0"))
     with pytest.raises(_TwoArgError):
         simulate_coupled(odd, cfg, workers=1)
-    # one that does not survive pickling comes back from a pool process as a
-    # RuntimeError naming it; lost in the pool, it would leave the run waiting
+    # one that does not survive pickling comes back from a forked child as a
+    # RuntimeError naming it, since the parent could not raise it
     def hung(signum, frame):
-        raise TimeoutError("the pool lost an error it could not unpickle")
+        raise TimeoutError("the parent lost an error it could not unpickle")
 
     previous = signal.signal(signal.SIGALRM, hung)
     signal.alarm(30)
@@ -406,23 +408,36 @@ def test_a_coefficient_error_reaches_the_caller_at_any_worker_count(forks):
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
-    assert multiprocessing.active_children() == []
+    assert_no_children()
 
 
-def test_a_chunk_error_closes_the_pool_without_terminating_it(forks, monkeypatch):
-    # terminating workers can kill one that holds a queue lock and hang the
-    # teardown; a pool that is closed and joined after an error needs no terminate
-    def terminate(self):
-        raise AssertionError("the pool was terminated")
+def test_a_killed_worker_is_an_error_not_a_hang(forks):
+    # every forked child kills itself at its first coefficient call, as the
+    # out-of-memory killer might; the parent must notice the lost chunks
+    parent = os.getpid()
 
-    monkeypatch.setattr(multiprocessing.pool.Pool, "terminate", terminate)
+    def b(x, y):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return -x
+
+    base = cubic_blowup_model()
+    model = replace(base, coefficients=replace(base.coefficients, b=b))
     cfg = SimConfig(epsilon=0.1, dt=0.01, horizon=0.1, n_paths=24, seed=5, x0=0.0, y0=0.0, chunk_size=8)
-    with pytest.raises(ValueError, match="bad coefficient"):
-        simulate_coupled(_raising_model(ValueError("bad coefficient")), cfg, workers=2)
-    assert multiprocessing.active_children() == []
-    with pytest.raises(RuntimeError, match=r"_TwoArgError\('bad coefficient at x = 0'\)"):
-        simulate_coupled(_raising_model(_TwoArgError("bad coefficient", "x = 0")), cfg, workers=2)
-    assert multiprocessing.active_children() == []
+    assert simulate_coupled(model, cfg, workers=1).slow.shape == (24, 1)
+
+    def hung(signum, frame):
+        raise TimeoutError("the parent waited for a killed child's chunks")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(30)
+    try:
+        with pytest.raises(SlowfastError, match="exit code -9"):
+            simulate_coupled(model, cfg, workers=2)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert_no_children()
 
 
 def test_frozen_sim_fixes_the_slow_state(example21):
@@ -487,7 +502,7 @@ def test_noise_blocks_match_full_row_draws(ou, monkeypatch, name, block_bytes):
         assert len(blocked) == len(oracle)
         for a, b in zip(oracle, blocked):
             np.testing.assert_array_equal(a, b)
-        assert multiprocessing.active_children() == []
+        assert_no_children()
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
@@ -512,7 +527,7 @@ def test_blowup_in_a_later_block_names_the_same_path_and_step(monkeypatch):
             with pytest.raises(BlowUpError, match="non-finite") as info:
                 run(workers)
             assert (info.value.path_index, info.value.step) == where
-            assert multiprocessing.active_children() == []
+            assert_no_children()
 
 
 def test_huge_finite_states_are_not_a_blowup(monkeypatch):
@@ -631,7 +646,7 @@ def test_default_chunks_give_the_ensembles_of_explicit_chunks(ou, name):
             assert len(arrays) == len(reference)
             for a, b in zip(reference, arrays):
                 np.testing.assert_array_equal(a, b, err_msg=f"chunk_size={chunk_size}, workers={workers}")
-            assert multiprocessing.active_children() == []
+            assert_no_children()
 
 
 def test_default_chunks_past_the_cap_give_the_ensembles_of_explicit_chunks():
@@ -640,7 +655,7 @@ def test_default_chunks_past_the_cap_give_the_ensembles_of_explicit_chunks():
     reference = simulate_averaged(flat_brownian(), replace(config, chunk_size=1024)).slow
     for workers in (1, 2):
         np.testing.assert_array_equal(simulate_averaged(flat_brownian(), config, workers=workers).slow, reference)
-        assert multiprocessing.active_children() == []
+        assert_no_children()
 
 
 def _chunk_bounds_as_noise(seed, p0, p1, tag, variant, n_draws):
@@ -675,7 +690,7 @@ def test_default_layout_is_one_chunk_per_process_of_at_most_4096_paths(monkeypat
     p0, p1 = slow[:, 1], slow[:, 2] - slow[:, 1]
     starts = np.flatnonzero(np.diff(p0, prepend=-1.0))
     assert [(int(p0[i]), int(p1[i])) for i in starts] == chunks
-    assert multiprocessing.active_children() == []
+    assert_no_children()
 
 
 @pytest.mark.parametrize("chunk_size", [0, -3, True, 2.5, "8", np.inf])
