@@ -449,13 +449,15 @@ def tv_decay_curve(model: ModelSpec, x, y0, times, grid=None) -> DecayCurve:
     return DecayCurve(times=times, values=values, fit=fit)
 
 
-def w1_decay_coupling(model: ModelSpec, x, y, y_other, times, n_paths=256, seed=0) -> DecayCurve:
+def w1_decay_coupling(model: ModelSpec, x, y, y_other, times, n_paths=256, seed=0,
+                      workers=None) -> DecayCurve:
     """Mean gap of synchronously coupled frozen paths started at y and y'.
 
     The two copies consume identical Brownian increments, so the mean
     |Y_t - Y'_t| decays at the coupling rate; its exponential fit is the
     W1-decay rate estimate (a lower-bound-style, per-initial-pair figure,
-    not a certified supremum).
+    not a certified supremum). The paths fork as in ``frozen_pair_gap``,
+    by default one process per usable core; the curve does not depend on it.
     """
     times = np.asarray(times, dtype=float)
     finite = np.all(np.isfinite(times))
@@ -475,7 +477,7 @@ def w1_decay_coupling(model: ModelSpec, x, y, y_other, times, n_paths=256, seed=
         y0=float(y),
         fast_substep=dt,
     )
-    t_grid, gaps = frozen_pair_gap(model, x, cfg, float(y_other))
+    t_grid, gaps = frozen_pair_gap(model, x, cfg, float(y_other), workers=workers)
     mean_gap = gaps.mean(axis=0)
     values = np.interp(times, t_grid, mean_gap)
     fit = _decay_fit(times, values, value_floor=1e-6)

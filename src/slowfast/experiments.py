@@ -501,7 +501,7 @@ def _cmd_decay(args, model):
             n_paths = _read_config(args.config, {"n_paths"}).get("n_paths", n_paths)
         curve = w1_decay_coupling(
             model, args.x, args.y0, args.y_other, times,
-            n_paths=n_paths, seed=_resolved_seed(args),
+            n_paths=n_paths, seed=_resolved_seed(args), workers=args.workers,
         )
     params = {"x": args.x, "y0": args.y0, "y_other": args.y_other, "times": args.times,
               "mode": args.mode}
@@ -537,9 +537,9 @@ def _build_parser():
                         help="artifact path; a .manifest.json is written beside it")
         sp.add_argument("--format", choices=("json", "csv"), default="json")
         sp.add_argument("--workers", default=1,
-                        help="processes for converge and l2fail (default 1), at most one per usable "
-                             "core and chunk; by default the paths form one chunk per process, split "
-                             "above 4096 paths; results do not depend on it")
+                        help="processes for converge, l2fail and decay --mode coupling (default 1), "
+                             "at most one per usable core and chunk; by default the paths form one chunk "
+                             "per process, split above 4096 paths; results do not depend on it")
         if config_help is not None:
             sp.add_argument("--config", default=None, help=config_help)
 

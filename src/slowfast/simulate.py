@@ -16,7 +16,9 @@ Every path owns counter-based streams keyed by (seed, path index,
 equation tag, variant) through Philox. The key layout makes ensembles
 bit-identical at any chunking and worker count (``workers > 1`` forks at
 most one child per chunk and usable core, all writing into one shared
-output, and a killed child raises; by default one chunk per process). The
+output, and a killed child raises; by default one chunk per process).
+Coupled and averaged runs default to ``workers=1``; frozen runs default to
+``workers=None``, one process per usable core, so they fork unasked. The
 Philox keys of a chunk's paths are hashed together, in uint32 arithmetic
 over the chunk, to the bits numpy's SeedSequence gives each path alone
 (``path_stream``). A simulator names only the (equation tag, variant)
@@ -295,14 +297,15 @@ def _check_workers(workers):
 def _pool_size(workers, n_chunks):
     """Processes that run ``n_chunks`` chunks: at most one per chunk and usable core.
 
-    One while other threads run (a forked child holds only the calling
-    thread, not the locks the others hold), and one where the platform
-    reports no CPU affinity, as where it cannot fork.
+    ``workers=None`` asks for one per usable core. One while other threads
+    run (a forked child holds only the calling thread, not the locks the
+    others hold), and one where the platform reports no CPU affinity, as
+    where it cannot fork.
     """
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     if threading.active_count() > 1:
         cores = 1
-    return min(_check_workers(workers), n_chunks, cores)
+    return min(cores if workers is None else _check_workers(workers), n_chunks, cores)
 
 
 def _layout(config, workers):
@@ -336,14 +339,15 @@ def _euler_loop(config, stored, n_sub, streams, initial, step, workers=1):
     each step replaces, which raises what a per-step check would have
     raised. Each component is stored at the slow step indices
     ``stored`` (increasing), each slow step spanning ``n_sub`` loop steps;
-    nothing is allocated for the others. With ``workers > 1`` child ``rank``
-    of ``size`` forked ones runs chunks ``rank, rank + size, ...``, writing
-    rows in place into one shared anonymous mapping, and stops at its first
-    error, pickled down its own pipe (a RuntimeError naming it if it would
-    not unpickle). With all reaped, the parent raises the lowest chunk's
-    error, the serial loop's, or a SlowfastError for a child that died
-    unreported, killed say by a signal. Returns the stored times and one
-    (n_paths, n_stored) array per state component.
+    nothing is allocated for the others. With ``workers > 1``, or None (one
+    per usable core), child ``rank`` of ``size`` forked ones runs chunks
+    ``rank, rank + size, ...``, writing rows in place into one shared
+    anonymous mapping, and stops at its first error, pickled down its own
+    pipe (a RuntimeError naming it if it would not unpickle). With all
+    reaped, the parent raises the lowest chunk's error, the serial loop's,
+    or a SlowfastError for a child that died unreported, killed say by a
+    signal. Returns the stored times and one (n_paths, n_stored) array per
+    state component.
     """
     store_at = {int(j) * n_sub: k for k, j in enumerate(stored)}
     n_steps = config.n_slow_steps() * n_sub
@@ -443,6 +447,7 @@ def _averaged_step(avg, x, dt, dw):
 
 def _coupled(model: ModelSpec, config: SimConfig, workers, avg=None):
     """The coupled pair, plus an averaged path on its slow noise when ``avg`` is given."""
+    _check_workers(workers)
     if config.dt / config.epsilon > _STIFFNESS_GUARD + 1e-12:
         raise ConfigError(
             f"dt/epsilon = {config.dt / config.epsilon:.3g} exceeds the "
@@ -508,8 +513,11 @@ def simulate_paired(model: ModelSpec, avg, config: SimConfig, workers=1):
     return _coupled(model, config, workers, avg)
 
 
-def _frozen_copies(model: ModelSpec, x, config: SimConfig, y0s, burn_in=0.0):
-    """Copies of the frozen fast equation started at ``y0s`` on one noise, stored from ``burn_in`` on."""
+def _frozen_copies(model: ModelSpec, x, config: SimConfig, y0s, burn_in=0.0, workers=None):
+    """Copies of the frozen fast equation started at ``y0s`` on one noise, stored from ``burn_in`` on.
+
+    ``workers`` goes to ``_euler_loop``; None, one process per usable core.
+    """
     if not np.all(model.slow_domain.contains(x)):
         raise ConfigError("frozen slow coordinate outside the slow domain")
     for y0 in y0s:
@@ -527,10 +535,11 @@ def _frozen_copies(model: ModelSpec, x, config: SimConfig, y0s, burn_in=0.0):
         return tuple(model.fast_domain.reflect(y + c.f(xval, y) * h + c.g(xval, y) * dw) for y in ys)
 
     stored = config.stored_indices()
-    return _euler_loop(config, stored[stored * config.dt >= burn_in], n_sub, ((EQ_FAST, 0),), y0s, step)
+    return _euler_loop(config, stored[stored * config.dt >= burn_in], n_sub, ((EQ_FAST, 0),), y0s, step,
+                       workers=workers)
 
 
-def simulate_frozen(model: ModelSpec, x, config: SimConfig, *, burn_in=0.0) -> Ensemble:
+def simulate_frozen(model: ModelSpec, x, config: SimConfig, *, burn_in=0.0, workers=None) -> Ensemble:
     """Integrate the frozen fast equation dY = f(x, Y) dt + g(x, Y) dB.
 
     The slow coordinate is pinned at ``x`` and the fast equation runs at
@@ -539,20 +548,23 @@ def simulate_frozen(model: ModelSpec, x, config: SimConfig, *, burn_in=0.0) -> E
     written, although every step is still taken and checked. For a uniform
     layout ``slow`` holds the constant slow coordinate as a read-only
     broadcast view of the fast table's shape, so it costs no memory.
+    ``workers`` (default None, one process per usable core) forks the run
+    as ``simulate_coupled`` does; the result does not depend on it.
     """
-    times, (fast,) = _frozen_copies(model, x, config, (config.y0,), burn_in=burn_in)
+    times, (fast,) = _frozen_copies(model, x, config, (config.y0,), burn_in=burn_in, workers=workers)
     return Ensemble(times=times, slow=np.broadcast_to(float(x), fast.shape), fast=fast)
 
 
-def frozen_pair_gap(model: ModelSpec, x, config: SimConfig, y0_other):
+def frozen_pair_gap(model: ModelSpec, x, config: SimConfig, y0_other, workers=None):
     """Gap |Y - Y'| of two synchronously coupled frozen trajectories.
 
     Both copies start from ``config.y0`` and ``y0_other`` and consume the
     same Brownian increments, so the gap decays at the coupling rate of the
     frozen equation. Returns (times, gaps) with gaps of shape
     (n_paths, n_stored) on the grid selected by ``config.store``.
+    ``workers`` is that of ``simulate_frozen``: by default it forks.
     """
-    times, (y, y_other) = _frozen_copies(model, x, config, (config.y0, y0_other))
+    times, (y, y_other) = _frozen_copies(model, x, config, (config.y0, y0_other), workers=workers)
     return times, np.abs(y - y_other)
 
 
@@ -568,6 +580,7 @@ def simulate_averaged(avg, config: SimConfig, variant=0, workers=1) -> Ensemble:
     variant : int
         Sub-seed for independent copies (noise-floor estimates).
     """
+    _check_workers(workers)
     sqrt_dt = np.sqrt(config.dt)
 
     def step(state, j, noise):

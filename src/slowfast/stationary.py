@@ -370,7 +370,7 @@ def _estimate_burn_in(model, x, config):
     return min(10.0 / _spectral_gap(model, x), config.horizon / 2.0)
 
 
-def empirical_invariant(model: ModelSpec, x, config: SimConfig) -> EmpiricalMeasure:
+def empirical_invariant(model: ModelSpec, x, config: SimConfig, workers=None) -> EmpiricalMeasure:
     """Pooled post-burn-in fast states of a frozen-run ensemble.
 
     ``config.store`` must keep trajectories (``full`` or ``strided``). The
@@ -379,12 +379,14 @@ def empirical_invariant(model: ModelSpec, x, config: SimConfig) -> EmpiricalMeas
     t = horizon always survives it; a process with no invariant law raises
     NotPositiveRecurrentError before any path runs. Only the stored times
     from the burn-in on are ever held, and they are sorted in place, so the
-    memory is the pooled samples plus one noise block.
+    memory is the pooled samples plus one noise block per process. The run
+    forks as ``simulate_frozen`` does, by default one process per usable
+    core (``workers=None``); the samples do not depend on it.
     """
     if config.store == "terminal":
         raise ConfigError("empirical invariant needs store='full' or 'strided'")
     burn_in = _estimate_burn_in(model, x, config)
     # the path-major view of the one buffer the run allocated
-    samples = simulate_frozen(model, x, config, burn_in=burn_in).fast.ravel()
+    samples = simulate_frozen(model, x, config, burn_in=burn_in, workers=workers).fast.ravel()
     samples.sort()
     return EmpiricalMeasure._from_sorted(samples)

@@ -524,17 +524,23 @@ def test_example21_ladder_rises_away_from_the_averaged_law(example21, x0):
     assert small - frozen > 4 * report.noise_floor
 
 
-@pytest.mark.parametrize("command", ["l2fail", "converge"])
+@pytest.mark.parametrize("command", ["l2fail", "converge", "decay"])
 def test_cli_artifacts_do_not_depend_on_workers(tmp_path, command, forks):
-    # 40 paths in chunks of 16: the forked children run three chunks, the last one short
+    # 40 paths in chunks of 16: the forked children run three chunks, the last
+    # one short; decay's config holds only n_paths, so it runs default chunks
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"n_paths": 40, "chunk_size": 16, "horizon": 0.2, "dt": 0.01, "x0": 0.0, "y0": 0.0}))
-    model = [] if command == "l2fail" else ["--model", "ou-coupled"]
+    if command == "decay":
+        cfg.write_text(json.dumps({"n_paths": 40}))
+        args = ["--model", "ou-coupled", "--x", "0", "--y0", "3", "--y-other", "-1", "--times", "1,2",
+                "--mode", "coupling"]
+    else:
+        cfg.write_text(json.dumps({"n_paths": 40, "chunk_size": 16, "horizon": 0.2, "dt": 0.01, "x0": 0.0,
+                                   "y0": 0.0}))
+        args = ([] if command == "l2fail" else ["--model", "ou-coupled"]) + ["--epsilons", "0.5,0.25"]
     artifacts, manifests = [], []
     for workers in (1, 2, 3):
         out = tmp_path / f"{command}-{workers}.json"
-        argv = [command, *model, "--epsilons", "0.5,0.25", "--config", str(cfg), "--seed", "4",
-                "--out", str(out), "--workers", str(workers)]
+        argv = [command, *args, "--config", str(cfg), "--seed", "4", "--out", str(out), "--workers", str(workers)]
         assert cli_main(argv) == 0
         assert_no_children()
         artifacts.append(out.read_bytes())

@@ -20,10 +20,12 @@ from slowfast import (
     SimConfig,
     SlowfastError,
     build_averaged_model,
+    empirical_invariant,
     simulate_averaged,
     simulate_coupled,
     simulate_frozen,
     simulate_paired,
+    w1_decay_coupling,
 )
 from slowfast.models import FULL_LINE, StateDomain
 from slowfast import simulate as simulate_module
@@ -173,8 +175,10 @@ _WORKER_CONFIG = SimConfig(epsilon=0.1, dt=0.01, horizon=0.2, n_paths=37, seed=9
         lambda m, avg, w: simulate_coupled(m, _WORKER_CONFIG, workers=w),
         lambda m, avg, w: simulate_averaged(avg, _WORKER_CONFIG, variant=1, workers=w),
         lambda m, avg, w: simulate_paired(m, avg, _WORKER_CONFIG, workers=w),
+        lambda m, avg, w: simulate_frozen(m, 0.5, _WORKER_CONFIG, workers=w),
+        lambda m, avg, w: frozen_pair_gap(m, 0.5, _WORKER_CONFIG, -1.0, workers=w),
     ],
-    ids=["coupled", "averaged", "paired"],
+    ids=["coupled", "averaged", "paired", "frozen", "pair-gap"],
 )
 def test_ensembles_do_not_depend_on_workers(ou, run, forks):
     # 37 paths in chunks of 8: five chunks, the last one short
@@ -213,6 +217,38 @@ def test_bad_worker_count_raises_config_error(ou, workers):
         simulate_coupled(ou, cfg, workers=workers)
     with pytest.raises(ConfigError, match="workers must be a positive integer"):
         simulate_averaged(flat_brownian(), cfg, workers=workers)
+    if workers is None:
+        return  # the frozen runs' default: one process per usable core
+    frozen = replace(cfg, store="full")
+    for run in (lambda: simulate_frozen(ou, 0.5, frozen, workers=workers),
+                lambda: frozen_pair_gap(ou, 0.5, frozen, -1.0, workers=workers),
+                lambda: empirical_invariant(ou, 0.5, frozen, workers=workers),
+                lambda: w1_decay_coupling(ou, 0.5, 1.0, -1.0, [0.05, 0.1], n_paths=4, workers=workers)):
+        with pytest.raises(ConfigError, match="workers must be a positive integer"):
+            run()
+
+
+def test_frozen_runs_fork_by_default(example21, forks):
+    # a drift that raises only in a forked child reaches a default-worker run,
+    # whose bits are those of one process
+    parent = os.getpid()
+
+    def f(x, y):
+        if os.getpid() != parent:
+            raise ValueError("drift called in a forked child")
+        return example21.coefficients.f(x, y)
+
+    only_parent = replace(example21, coefficients=replace(example21.coefficients, f=f))
+    cfg = SimConfig(epsilon=1.0, dt=0.02, horizon=2.0, n_paths=40, seed=3, y0=1.0, store="full")
+    for run in (lambda m, **w: simulate_frozen(m, 0.5, cfg, burn_in=1.0, **w),
+                lambda m, **w: frozen_pair_gap(m, 0.5, cfg, 0.2, **w)):
+        serial, default = _arrays(run(example21, workers=1)), _arrays(run(example21))
+        assert [a.tobytes() for a in default] == [a.tobytes() for a in serial]
+        assert_no_children()
+        run(only_parent, workers=1)
+        with pytest.raises(ValueError, match="forked child"):
+            run(only_parent)
+        assert_no_children()
 
 
 def test_stiffness_guard(ou):
@@ -349,25 +385,31 @@ def cubic_drift_model():
     return replace(base, coefficients=replace(base.coefficients, sigma=lambda x, y: y, f=lambda x, y: -y))
 
 
+# paths 0-7 survive the horizon; path 12, in the second chunk, is the first to blow up
+_LATE_CHUNK = SimConfig(epsilon=0.1, dt=0.01, horizon=1.0, n_paths=24, seed=5, x0=0.0, y0=0.0, chunk_size=8)
+# of 37 frozen paths in chunks of 8, path 14 is the first to blow up, in the second chunk
+_LATE_FROZEN_CHUNK = SimConfig(epsilon=1.0, dt=0.05, horizon=1.0, n_paths=37, seed=1, y0=0.0,
+                               fast_substep=0.05, chunk_size=8)
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
 @pytest.mark.parametrize(
-    "run",
+    "run, where",
     [
-        lambda cfg, w: simulate_coupled(cubic_drift_model(), cfg, workers=w),
-        lambda cfg, w: simulate_paired(cubic_drift_model(), flat_brownian(), cfg, workers=w),
+        (lambda w: simulate_coupled(cubic_drift_model(), _LATE_CHUNK, workers=w), (12, 833)),
+        (lambda w: simulate_paired(cubic_drift_model(), flat_brownian(), _LATE_CHUNK, workers=w), (12, 833)),
+        (lambda w: simulate_frozen(cubic_fast_model(), 0.0, _LATE_FROZEN_CHUNK, workers=w), (14, 13)),
     ],
-    ids=["coupled", "paired"],
+    ids=["coupled", "paired", "frozen"],
 )
-def test_blowup_in_a_later_chunk_is_the_same_at_any_worker_count(run, forks):
-    # paths 0-7 survive the horizon; path 12, in the second chunk, is the first to blow up
-    cfg = SimConfig(epsilon=0.1, dt=0.01, horizon=1.0, n_paths=24, seed=5, x0=0.0, y0=0.0, chunk_size=8)
+def test_blowup_in_a_later_chunk_is_the_same_at_any_worker_count(run, where, forks):
     seen = []
     for workers in (1, 2, 3):
         with pytest.raises(BlowUpError) as info:
-            run(cfg, workers)
+            run(workers)
         seen.append((str(info.value), info.value.path_index, info.value.step))
         assert_no_children()
-    assert seen[0][1:] == (12, 833)
+    assert seen[0][1:] == where
     assert seen == [seen[0]] * 3
 
 
@@ -379,36 +421,44 @@ class _TwoArgError(Exception):
 
 
 def _raising_model(exc):
-    def b(x, y):
+    # the slow drift raises in coupled runs, the fast drift in frozen ones
+    def raising(x, y):
         raise exc
 
     base = cubic_blowup_model()
-    return replace(base, coefficients=replace(base.coefficients, b=b))
+    return replace(base, coefficients=replace(base.coefficients, b=raising, f=raising))
+
+
+_CHUNKED = SimConfig(epsilon=0.1, dt=0.01, horizon=0.1, n_paths=24, seed=5, x0=0.0, y0=0.0, chunk_size=8)
+_COUPLED_AND_FROZEN = (
+    lambda m, w: simulate_coupled(m, _CHUNKED, workers=w),
+    lambda m, w: simulate_frozen(m, 0.0, _CHUNKED, workers=w),
+)
 
 
 def test_a_coefficient_error_reaches_the_caller_at_any_worker_count(forks):
-    cfg = SimConfig(epsilon=0.1, dt=0.01, horizon=0.1, n_paths=24, seed=5, x0=0.0, y0=0.0, chunk_size=8)
-    for workers in (1, 2):
-        with pytest.raises(ValueError, match="bad coefficient"):
-            simulate_coupled(_raising_model(ValueError("bad coefficient")), cfg, workers=workers)
-        assert_no_children()
-    odd = _raising_model(_TwoArgError("bad coefficient", "x = 0"))
-    with pytest.raises(_TwoArgError):
-        simulate_coupled(odd, cfg, workers=1)
-    # one that does not survive pickling comes back from a forked child as a
-    # RuntimeError naming it, since the parent could not raise it
-    def hung(signum, frame):
-        raise TimeoutError("the parent lost an error it could not unpickle")
+    for run in _COUPLED_AND_FROZEN:
+        for workers in (1, 2):
+            with pytest.raises(ValueError, match="bad coefficient"):
+                run(_raising_model(ValueError("bad coefficient")), workers)
+            assert_no_children()
+        odd = _raising_model(_TwoArgError("bad coefficient", "x = 0"))
+        with pytest.raises(_TwoArgError):
+            run(odd, 1)
+        # one that does not survive pickling comes back from a forked child as a
+        # RuntimeError naming it, since the parent could not raise it
+        def hung(signum, frame):
+            raise TimeoutError("the parent lost an error it could not unpickle")
 
-    previous = signal.signal(signal.SIGALRM, hung)
-    signal.alarm(30)
-    try:
-        with pytest.raises(RuntimeError, match=r"_TwoArgError\('bad coefficient at x = 0'\)"):
-            simulate_coupled(odd, cfg, workers=2)
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-    assert_no_children()
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(30)
+        try:
+            with pytest.raises(RuntimeError, match=r"_TwoArgError\('bad coefficient at x = 0'\)"):
+                run(odd, 2)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert_no_children()
 
 
 def test_a_killed_worker_is_an_error_not_a_hang(forks):
@@ -416,28 +466,31 @@ def test_a_killed_worker_is_an_error_not_a_hang(forks):
     # out-of-memory killer might; the parent must notice the lost chunks
     parent = os.getpid()
 
-    def b(x, y):
-        if os.getpid() != parent:
-            os.kill(os.getpid(), signal.SIGKILL)
-        return -x
+    def dying(drift):
+        def coefficient(x, y):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return drift(x, y)
+        return coefficient
 
     base = cubic_blowup_model()
-    model = replace(base, coefficients=replace(base.coefficients, b=b))
-    cfg = SimConfig(epsilon=0.1, dt=0.01, horizon=0.1, n_paths=24, seed=5, x0=0.0, y0=0.0, chunk_size=8)
-    assert simulate_coupled(model, cfg, workers=1).slow.shape == (24, 1)
+    model = replace(base, coefficients=replace(base.coefficients, b=dying(lambda x, y: -x),
+                                               f=dying(lambda x, y: -y)))
 
     def hung(signum, frame):
         raise TimeoutError("the parent waited for a killed child's chunks")
 
-    previous = signal.signal(signal.SIGALRM, hung)
-    signal.alarm(30)
-    try:
-        with pytest.raises(SlowfastError, match="exit code -9"):
-            simulate_coupled(model, cfg, workers=2)
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-    assert_no_children()
+    for run in _COUPLED_AND_FROZEN:
+        assert run(model, 1).slow.shape == (24, 1)
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(30)
+        try:
+            with pytest.raises(SlowfastError, match="exit code -9"):
+                run(model, 2)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert_no_children()
 
 
 def test_frozen_sim_fixes_the_slow_state(example21):
@@ -477,8 +530,8 @@ _BLOCK_RUNS = {
     "coupled": (lambda m, cfg, w: simulate_coupled(m, cfg, workers=w), (1, 2)),
     "paired": (lambda m, cfg, w: simulate_paired(m, flat_brownian(), cfg, workers=w), (1, 2)),
     "averaged": (lambda m, cfg, w: simulate_averaged(flat_brownian(), cfg, variant=3, workers=w), (1, 2)),
-    "frozen": (lambda m, cfg, w: simulate_frozen(m, 0.5, cfg), (1,)),
-    "pair-gap": (lambda m, cfg, w: frozen_pair_gap(m, 0.5, cfg, -1.0), (1,)),
+    "frozen": (lambda m, cfg, w: simulate_frozen(m, 0.5, cfg, workers=w), (1, 2)),
+    "pair-gap": (lambda m, cfg, w: frozen_pair_gap(m, 0.5, cfg, -1.0, workers=w), (1, 2)),
 }
 
 

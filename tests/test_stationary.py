@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -294,20 +295,43 @@ def test_empirical_invariant_pools_the_columns_from_the_burn_in_on(name, x, stor
     assert at_zero.fast.tobytes() == whole.fast.tobytes()
 
 
-def test_empirical_invariant_holds_only_the_pooled_samples(ou, monkeypatch):
-    # the burn-in is capped at half the horizon, so the whole trajectory
-    # would be twice the samples; the slack covers a chunk's 48 generators
-    # (about 0.9 kB each), the stored-step table and the step temporaries
-    block = 64 << 10
-    monkeypatch.setattr(simulate, "_BLOCK_BYTES", block)
-    cfg = SimConfig(epsilon=1.0, dt=0.02, horizon=8.0, n_paths=500, seed=3, x0=0.8, y0=0.0,
-                    store="full", chunk_size=48)
-    empirical_invariant(ou, 0.8, cfg)  # first-call imports and caches are not the run's memory
+_POOLED_CONFIG = SimConfig(epsilon=1.0, dt=0.02, horizon=8.0, n_paths=500, seed=3, x0=0.8, y0=0.0,
+                           store="full", chunk_size=48)
+
+
+def _traced_peak(run):
+    run()  # first-call imports and caches are not the run's memory
     tracemalloc.start()
     try:
-        emp = empirical_invariant(ou, 0.8, cfg)
-        peak = tracemalloc.get_traced_memory()[1]
+        result = run()
+        return result, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_empirical_invariant_holds_only_the_pooled_samples(ou, monkeypatch):
+    # in one process, so tracemalloc sees the noise blocks. The burn-in is
+    # capped at half the horizon, so the whole trajectory would be twice the
+    # samples; the slack covers a chunk's 48 generators (about 0.9 kB each),
+    # the stored-step table and the step temporaries
+    block = 64 << 10
+    monkeypatch.setattr(simulate, "_BLOCK_BYTES", block)
+    emp, peak = _traced_peak(lambda: empirical_invariant(ou, 0.8, _POOLED_CONFIG, workers=1))
     assert emp.samples.shape == (500 * 201,)
     assert peak < emp.samples.nbytes + 2 * block + (128 << 10)
+
+
+def test_empirical_invariant_draws_no_noise_in_the_parent_by_default(ou, monkeypatch, forks):
+    # tracemalloc sees only this process. In one process the run holds a
+    # noise block beside the samples; forked, the children draw the noise
+    # and write the samples into a shared mapping, which is not traced. The
+    # burn-in is the T/2 cap here, set directly: the spectral gap that
+    # finds it builds a grid larger than a block
+    monkeypatch.setattr(stationary, "_estimate_burn_in", lambda model, x, config: config.horizon / 2.0)
+    block = 256 << 10
+    monkeypatch.setattr(simulate, "_BLOCK_BYTES", block)
+    cfg = replace(_POOLED_CONFIG, chunk_size=None)
+    serial, serial_peak = _traced_peak(lambda: empirical_invariant(ou, 0.8, cfg, workers=1))
+    forked, peak = _traced_peak(lambda: empirical_invariant(ou, 0.8, cfg))
+    assert peak < block < serial_peak - serial.samples.nbytes
+    assert forked.samples.tobytes() == serial.samples.tobytes()
