@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import ConfigError, DegenerateDiffusionError, SlowfastError
 from .metrics import measure_distance
-from .models import ModelSpec, StateDomain
+from .models import ModelSpec, StateDomain, _Report
 from .numerics import check_tail_decays, extrapolate_to_zero, fit_power_law, simpson_ratio
 from .stationary import stationary_density
 
@@ -258,7 +258,7 @@ def discontinuity_probe(model: ModelSpec, x0: float, deltas) -> dict:
 
 
 @dataclass(frozen=True)
-class HolderFitReport:
+class HolderFitReport(_Report):
     """Pairwise invariant-measure distances with a power-law fit.
 
     ``bound_satisfied`` checks each pair against the two-regime reference
@@ -281,18 +281,9 @@ class HolderFitReport:
     constants: dict
 
     def as_dict(self) -> dict:
-        return {
-            "metric": self.metric,
-            "pairs": [
-                {"x1": x1, "x2": x2, "distance": dist} for x1, x2, dist in self.pairs
-            ],
-            "fitted_exponent": self.fitted_exponent,
-            "fitted_constant": self.fitted_constant,
-            "r_squared": self.r_squared,
-            "reference_exponent": self.reference_exponent,
-            "bound_satisfied": self.bound_satisfied,
-            "constants": dict(self.constants),
-        }
+        out = super().as_dict()
+        out["pairs"] = [{"x1": x1, "x2": x2, "distance": dist} for x1, x2, dist in out["pairs"]]
+        return out
 
 
 def holder_fit(metric: str, model: ModelSpec, pairs, lambda2=None, k3=None) -> HolderFitReport:

@@ -44,7 +44,7 @@ import numpy as np
 
 from .errors import ConfigError, ConservationError, FitError
 from .metrics import tv_distance
-from .models import FULL_LINE, INTERVAL, ModelSpec
+from .models import FULL_LINE, INTERVAL, ModelSpec, _Report
 from .numerics import cumulative_gauss, fit_exponential_decay, log_trapezoid, logsumexp, march
 from .simulate import SimConfig, frozen_pair_gap
 from .stationary import (_PDE_CELLS, Density1D, _default_pde_grid, _frozen_axis, _frozen_generator, _mode,
@@ -68,7 +68,7 @@ _CRITERIA = ("speed_total", "scale_recurrence", "exponential_sup", "strong_tail"
 
 
 @dataclass(frozen=True)
-class ErgodicityReport:
+class ErgodicityReport(_Report):
     """Three-way verdicts for one frozen slow state.
 
     Verdicts are True / False / None, None meaning the numerics could not
@@ -82,34 +82,20 @@ class ErgodicityReport:
     strongly_ergodic: bool | None
     integrals: dict
 
-    @staticmethod
-    def _word(v):
-        return INCONCLUSIVE if v is None else ("true" if v else "false")
-
     def as_dict(self):
-        return {
-            "x": self.x,
-            "ergodic": self._word(self.ergodic),
-            "exp_ergodic": self._word(self.exp_ergodic),
-            "strongly_ergodic": self._word(self.strongly_ergodic),
-            "integrals": self.integrals,
-        }
+        out = super().as_dict()
+        for key in ("ergodic", "exp_ergodic", "strongly_ergodic"):
+            out[key] = INCONCLUSIVE if out[key] is None else ("true" if out[key] else "false")
+        return out
 
 
 @dataclass(frozen=True)
-class DecayCurve:
+class DecayCurve(_Report):
     """Distance to stationarity over time with an exponential fit."""
 
     times: np.ndarray
     values: np.ndarray
     fit: dict
-
-    def as_dict(self):
-        return {
-            "times": [float(t) for t in self.times],
-            "values": [float(v) for v in self.values],
-            "fit": self.fit,
-        }
 
 
 def _log_phi1(d):

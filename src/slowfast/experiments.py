@@ -26,8 +26,12 @@ Each subcommand handler only computes: it returns the report payload, the
 manifest parameters, and either None (the csv form is the payload's
 dotted key,value flattening) or a callable producing the subcommand's own
 csv table. cli_main is the single render step: it resolves --model,
-renders json or csv once, and writes the artifact and its manifest. No
-other module of the package renders text output or touches a file.
+renders json or csv once, and writes the artifact and its manifest; a
+failed write is a ConfigError that names the path. No other module of the
+package renders text output or touches a file. One converter,
+``models._plain``, turns payloads into plain data: every report's
+``as_dict`` is ``_plain`` of its dataclass fields, and both renderings run
+it over the payload they are handed.
 """
 
 from __future__ import annotations
@@ -47,6 +51,8 @@ from .models import (
     FAIL,
     CoefficientSet,
     ModelSpec,
+    _plain,
+    _Report,
     check_assumptions,
     get_builtin,
     list_builtin_models,
@@ -79,7 +85,8 @@ def _config_for_epsilon(config, eps):
     return replace(config, epsilon=eps, dt=config.horizon / n)
 
 
-def _validate_epsilons(epsilons):
+def _validate_epsilons(epsilons, surrogate=True):
+    """The ladder as floats; ``surrogate=False`` refuses the inf surrogate too."""
     eps = [float(e) for e in epsilons]
     if not eps:
         raise ConfigError("need at least one epsilon")
@@ -90,6 +97,8 @@ def _validate_epsilons(epsilons):
         raise ConfigError("the inf surrogate must precede the finite ladder")
     if any(b >= a for a, b in zip(finite, finite[1:])):
         raise ConfigError("finite epsilons must be strictly decreasing")
+    if not surrogate and np.inf in eps:
+        raise ConfigError("the mean-square study needs finite epsilons")
     return eps
 
 
@@ -107,7 +116,7 @@ def _frozen_coupling_surrogate(model):
 
 
 @dataclass(frozen=True)
-class ConvergenceReport:
+class ConvergenceReport(_Report):
     """Terminal-law W1 between coupled and averaged runs per epsilon."""
 
     model: str
@@ -119,18 +128,10 @@ class ConvergenceReport:
     functional_gaps: dict | None = None
 
     def as_dict(self) -> dict:
-        out = {
-            "model": self.model,
-            "horizon": self.horizon,
-            "epsilons": ["inf" if e == np.inf else e for e in self.epsilons],
-            "w1_terminal": list(self.w1_terminal),
-            "n_paths": self.n_paths,
-            "noise_floor": self.noise_floor,
-        }
-        if self.functional_gaps is not None:
-            out["functional_gaps"] = {
-                name: list(vals) for name, vals in self.functional_gaps.items()
-            }
+        out = super().as_dict()
+        out["epsilons"] = ["inf" if e == np.inf else e for e in out["epsilons"]]
+        if out["functional_gaps"] is None:
+            del out["functional_gaps"]
         return out
 
 
@@ -204,7 +205,7 @@ def run_averaging_convergence(
 
 
 @dataclass(frozen=True)
-class L2Report:
+class L2Report(_Report):
     """Pathwise mean-square gap on shared Brownian paths per epsilon."""
 
     epsilons: tuple
@@ -215,18 +216,6 @@ class L2Report:
     noise_floor: float
     horizon: float
     n_paths: int
-
-    def as_dict(self) -> dict:
-        return {
-            "epsilons": list(self.epsilons),
-            "mean_square_gap": list(self.mean_square_gap),
-            "predicted_limit": self.predicted_limit,
-            "relative_error": list(self.relative_error),
-            "w1_terminal": list(self.w1_terminal),
-            "noise_floor": self.noise_floor,
-            "horizon": self.horizon,
-            "n_paths": self.n_paths,
-        }
 
 
 def run_l2_failure(config: SimConfig, epsilons, workers=1) -> L2Report:
@@ -243,9 +232,7 @@ def run_l2_failure(config: SimConfig, epsilons, workers=1) -> L2Report:
     child raises SlowfastError); the report does not depend on the count.
     """
     _check_workers(workers)
-    eps = _validate_epsilons(epsilons)
-    if any(e == np.inf for e in eps):
-        raise ConfigError("the mean-square study needs finite epsilons")
+    eps = _validate_epsilons(epsilons, surrogate=False)
     model = get_builtin("pure-fast-l2")
     avg = build_averaged_model(model, _slow_grid(model, config.x0))
     rho = stationary_density(model, config.x0)
@@ -286,21 +273,8 @@ MAX_X_GRID_NODES = 2**20
 _SIM_CONFIG_HELP = "JSON file with SimConfig fields (flat key-value)"
 
 
-def _to_native(obj):
-    """Recursively convert numpy scalars/arrays so json can serialize."""
-    if isinstance(obj, dict):
-        return {k: _to_native(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_to_native(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_to_native(v) for v in obj.tolist()]
-    if isinstance(obj, np.generic):
-        return obj.item()
-    return obj
-
-
 def _dump_json(obj) -> str:
-    return json.dumps(_to_native(obj), sort_keys=True, indent=2, allow_nan=False) + "\n"
+    return json.dumps(_plain(obj), sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def _flatten(obj, prefix=""):
@@ -323,9 +297,17 @@ def _csv_table(header, *columns) -> str:
     return "\n".join([header, *rows]) + "\n"
 
 
+def _write(path, text):
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as err:
+        raise ConfigError(f"cannot write {path!r}: {err.strerror or err}") from None
+
+
 def _dump_csv_report(obj) -> str:
     lines = ["key,value"]
-    for key, value in _flatten(_to_native(obj)):
+    for key, value in _flatten(_plain(obj)):
         lines.append(f"{key},{value!r}" if isinstance(value, float) else f"{key},{value}")
     return "\n".join(lines) + "\n"
 
@@ -480,7 +462,7 @@ def _cmd_converge(args, model):
 def _cmd_l2fail(args, model):
     if args.model not in (None, "pure-fast-l2"):
         raise ConfigError("the mean-square study runs on the pure-fast-l2 model only")
-    eps = _parse_floats(args.epsilons, "--epsilons")
+    eps = _validate_epsilons(_parse_floats(args.epsilons, "--epsilons"), surrogate=False)
     config = _load_sim_config(args, eps[0])
     report = run_l2_failure(config, eps, workers=args.workers)
     params = {"epsilons": args.epsilons, "sim_config": asdict(config)}
@@ -616,32 +598,30 @@ def cli_main(argv=None) -> int:
         # l2fail validates its optional --model itself; list-models has none
         model = None if args.command in ("list-models", "l2fail") else get_builtin(args.model)
         payload, params, csv = _HANDLERS[args.command](args, model)
+        if args.format == "json":
+            artifact = _dump_json(payload)
+        else:
+            artifact = _dump_csv_report(payload) if csv is None else csv()
+        if args.out is None:
+            sys.stdout.write(artifact)
+            return 0
+        _write(args.out, artifact)
+        manifest = {
+            "command": args.command,
+            "seed": _resolved_seed(args),
+            "params": {
+                **params,
+                "model": args.model,
+                "format": args.format,
+                "workers": args.workers,
+                "argv": argv,
+            },
+            "artifact_version": ARTIFACT_VERSION,
+        }
+        _write(args.out + ".manifest.json", _dump_json(manifest))
     except SlowfastError as err:
         sys.stderr.write(_dump_json(err.diagnostic()))
         return 3
-    if args.format == "json":
-        artifact = _dump_json(payload)
-    else:
-        artifact = _dump_csv_report(payload) if csv is None else csv()
-    if args.out is None:
-        sys.stdout.write(artifact)
-        return 0
-    with open(args.out, "w") as fh:
-        fh.write(artifact)
-    manifest = {
-        "command": args.command,
-        "seed": _resolved_seed(args),
-        "params": {
-            **params,
-            "model": args.model,
-            "format": args.format,
-            "workers": args.workers,
-            "argv": argv,
-        },
-        "artifact_version": ARTIFACT_VERSION,
-    }
-    with open(str(args.out) + ".manifest.json", "w") as fh:
-        fh.write(_dump_json(manifest))
     return 0
 
 

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ResolutionError, SlowfastError
+from .models import _Report
 from .numerics import abs_linear_integral, check_tail_decays, cumulative_trapezoid, union_grid
 from .stationary import Density1D, EmpiricalMeasure
 
@@ -37,21 +38,13 @@ DEFAULT_ATOMS = 256
 
 
 @dataclass(frozen=True)
-class DistanceReport:
+class DistanceReport(_Report):
     """One computed distance with its method and resolution on record."""
 
     metric: str
     value: float
     method: str
     resolution: int
-
-    def as_dict(self):
-        return {
-            "metric": self.metric,
-            "value": self.value,
-            "method": self.method,
-            "resolution": self.resolution,
-        }
 
 
 def _is_density(m):

@@ -42,7 +42,7 @@ bit-identical outputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -334,8 +334,28 @@ CAVEAT = "caveat"
 _WITNESS_TOL = 1e-9
 
 
+def _plain(obj):
+    """The JSON-ready copy of ``obj``: tuples and arrays become lists, numpy scalars Python ones."""
+    if isinstance(obj, dict):
+        return {k: _plain(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_plain(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return [_plain(v) for v in obj.tolist()]
+    if isinstance(obj, np.generic):
+        return obj.item()
+    return obj
+
+
+class _Report:
+    """Base of every report dataclass: ``as_dict`` is its fields, in order, as plain data."""
+
+    def as_dict(self) -> dict:
+        return _plain(asdict(self))
+
+
 @dataclass
-class ConditionCheck:
+class ConditionCheck(_Report):
     """Outcome of one sampled inequality family."""
 
     name: str
@@ -344,18 +364,9 @@ class ConditionCheck:
     witness: tuple | None = None
     note: str = ""
 
-    def as_dict(self):
-        return {
-            "name": self.name,
-            "status": self.status,
-            "estimated_constant": self.estimated_constant,
-            "witness": list(self.witness) if self.witness is not None else None,
-            "note": self.note,
-        }
-
 
 @dataclass
-class AssumptionReport:
+class AssumptionReport(_Report):
     """Sampled evidence for the structural conditions of one model.
 
     A ``pass`` is evidence on the sampled grid, not a proof; ``fail``
@@ -367,13 +378,6 @@ class AssumptionReport:
     model: str
     n_samples: int
     checks: dict
-
-    def as_dict(self):
-        return {
-            "model": self.model,
-            "n_samples": self.n_samples,
-            "checks": {k: v.as_dict() for k, v in self.checks.items()},
-        }
 
     def __getitem__(self, key):
         return self.checks[key]

@@ -8,12 +8,22 @@ import re
 import shlex
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from slowfast import (
+    check_assumptions,
+    classify,
+    get_builtin,
+    holder_fit,
+    measure_distance,
+    sample_tuple_grid,
+    stationary_density,
+    tv_decay_curve,
+)
 from slowfast.errors import ConfigError
 from slowfast.experiments import (
     MAX_X_GRID_NODES,
@@ -470,6 +480,36 @@ def test_cli_l2fail_rejects_other_model(capsys):
     assert "pure-fast-l2" in json.loads(capsys.readouterr().err)["message"]
 
 
+@pytest.mark.parametrize(
+    "epsilons, words",
+    [(",", "at least one epsilon"), ("inf", "needs finite epsilons"), ("0.1,inf", "precede")],
+    ids=["empty", "inf", "inf-last"],
+)
+def test_cli_l2fail_checks_its_ladder_before_it_reads_it(tmp_path, capsys, epsilons, words):
+    # the runner's own ladder message, before any config is built from the first rung
+    assert cli_main(["l2fail", "--epsilons", epsilons, "--out", str(tmp_path / "l2.json")]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError" and words in err["message"]
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("where", ["missing-directory", "a-directory", "manifest-a-directory"])
+def test_cli_unwritable_out_exits_3_without_a_manifest(tmp_path, capsys, where):
+    (tmp_path / "cfg.json").write_text(json.dumps({"n_paths": 16, "horizon": 0.1}))
+    (tmp_path / "d").mkdir()
+    out = {"missing-directory": tmp_path / "none" / "x.json", "a-directory": tmp_path / "d",
+           "manifest-a-directory": tmp_path / "x.json"}[where]
+    if where == "manifest-a-directory":
+        (tmp_path / "x.json.manifest.json").mkdir()
+    argv = ["stationary", "--model", "ou-coupled", "--x", "0"]
+    if where == "a-directory":  # the artifact write comes after the whole run
+        argv = ["l2fail", "--epsilons", "0.1", "--config", str(tmp_path / "cfg.json")]
+    assert cli_main([*argv, "--out", str(out)]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError" and str(out) in err["message"]
+    assert not Path(f"{out}.manifest.json").is_file()
+
+
 def test_cli_converge_needs_finite_anchor(capsys):
     code = cli_main(["converge", "--model", "ou-coupled", "--epsilons", "inf"])
     assert code == 3
@@ -623,3 +663,51 @@ def test_only_the_cli_module_renders_output_or_touches_files():
         if _renders_or_touches_files(node)
     ]
     assert offenders == []
+
+
+# ---------------------------------------------------------------------------
+# report data
+
+_REPORT_CONFIG = SimConfig(epsilon=0.1, dt=0.01, horizon=0.2, n_paths=32, seed=5, x0=0.5, y0=1.0)
+
+
+def _failing_assumptions():
+    # the degenerate point makes slow-elliptic fail with a witness drawn from the sample array
+    model = get_builtin("pure-fast-l2")
+    return check_assumptions(model, np.vstack([sample_tuple_grid(model, 64, seed=1), [0.3, 0.0, 1.0, 1.0]]))
+
+
+_REPORTS = {
+    "ErgodicityReport": lambda: classify(get_builtin("example21"), 0.5),
+    "DistanceReport": lambda: measure_distance(
+        "w1", stationary_density(get_builtin("example21"), 0.1), stationary_density(get_builtin("example21"), 0.0)
+    ),
+    "DecayCurve": lambda: tv_decay_curve(get_builtin("ou-coupled"), 0.0, 3.0, [1.0, 2.0, 3.0]),
+    "HolderFitReport": lambda: holder_fit("tv", get_builtin("example21"), [(0.3, 0.0), (0.1, 0.0)]),
+    "ConditionCheck": lambda: _failing_assumptions()["slow-elliptic"],
+    "AssumptionReport": _failing_assumptions,
+    "ConvergenceReport": lambda: run_averaging_convergence(
+        get_builtin("ou-coupled"), [np.inf, 0.1], _REPORT_CONFIG, functionals=True
+    ),
+    "L2Report": lambda: run_l2_failure(_REPORT_CONFIG, [0.1]),
+}
+
+
+def _assert_plain(obj, where="as_dict()"):
+    assert not isinstance(obj, (tuple, np.ndarray, np.generic)), f"{where} is a {type(obj).__name__}"
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            _assert_plain(value, f"{where}[{key!r}]")
+    elif isinstance(obj, list):
+        for i, value in enumerate(obj):
+            _assert_plain(value, f"{where}[{i}]")
+
+
+@pytest.mark.parametrize("kind", list(_REPORTS))
+def test_every_report_as_dict_is_plain_data_in_field_order(kind):
+    report = _REPORTS[kind]()
+    assert type(report).__name__ == kind
+    d = report.as_dict()
+    _assert_plain(d)
+    assert list(d) == [f.name for f in fields(report)]
+    assert json.loads(json.dumps(d, allow_nan=False)) == d
