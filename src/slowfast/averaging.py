@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DegenerateDiffusionError, SlowfastError
-from .metrics import measure_distance
+from .metrics import _DISTANCES
 from .models import ModelSpec, StateDomain, _Report
 from .numerics import check_tail_decays, extrapolate_to_zero, fit_power_law, simpson_ratio
 from .stationary import stationary_density
@@ -296,8 +296,9 @@ def holder_fit(metric: str, model: ModelSpec, pairs, lambda2=None, k3=None) -> H
     Identical pairs contribute a zero distance but are excluded from the
     log-log fit.
     """
-    if metric not in ("tv", "w1", "wbl"):
+    if metric not in _DISTANCES:
         raise ConfigError(f"unknown metric {metric!r}")
+    distance = _DISTANCES[metric][0]
     if metric == "tv":
         ref = TV_REFERENCE_EXPONENT
         constants = {}
@@ -319,7 +320,7 @@ def holder_fit(metric: str, model: ModelSpec, pairs, lambda2=None, k3=None) -> H
     rows = []
     for x1, x2 in pairs:
         x1, x2 = float(x1), float(x2)
-        dist = 0.0 if x1 == x2 else measure_distance(metric, density(x1), density(x2)).value
+        dist = 0.0 if x1 == x2 else distance(density(x1), density(x2))
         rows.append((x1, x2, dist))
 
     seps = np.array([abs(x1 - x2) for x1, x2, _ in rows])

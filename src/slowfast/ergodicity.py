@@ -442,8 +442,7 @@ def w1_decay_coupling(model: ModelSpec, x, y, y_other, times, n_paths=256, seed=
     The two copies consume identical Brownian increments, so the mean
     |Y_t - Y'_t| decays at the coupling rate; its exponential fit is the
     W1-decay rate estimate (a lower-bound-style, per-initial-pair figure,
-    not a certified supremum). The paths fork as in ``frozen_pair_gap``,
-    by default one process per usable core; the curve does not depend on it.
+    not a certified supremum). ``workers`` as in ``simulate_frozen``.
     """
     times = np.asarray(times, dtype=float)
     finite = np.all(np.isfinite(times))

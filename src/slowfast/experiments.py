@@ -17,27 +17,27 @@ Two headline studies plus plumbing:
 Every public runner embeds its full parameter set in the report, and the
 CLI writes a run manifest next to each artifact so any result can be
 reproduced bit for bit (random streams are keyed per path). The runners
-and the CLI take a worker count, which the manifest records: the
-simulators fork up to that many children, which write their path chunks
-into one shared output (by default one chunk each; a killed child raises
-SlowfastError), and every number is the same at any count.
+and the CLI take ``workers`` as in ``simulate_coupled``.
 
-Each subcommand handler only computes: it returns the report payload, the
-manifest parameters, and either None (the csv form is the payload's
-dotted key,value flattening) or a callable producing the subcommand's own
-csv table. cli_main is the single render step: it resolves --model,
-renders json or csv once, and writes the artifact and its manifest; a
-failed write is a ConfigError that names the path. No other module of the
-package renders text output or touches a file. One converter,
-``models._plain``, turns payloads into plain data: every report's
-``as_dict`` is ``_plain`` of its dataclass fields, and both renderings run
-it over the payload they are handed.
+Each subcommand handler only computes: it returns the report payload,
+either None (the csv form is the payload's dotted key,value flattening) or
+a callable producing its own csv table, and the SimConfig it resolved
+(converge and l2fail) or None. cli_main alone renders and records: it
+refuses an unwritable --out before any computation, and its manifest
+holds the parsed arguments but command, seed, out and config, the argv,
+the resolved ``sim_config``, and the seed the run used. A failed write is
+a ConfigError that names the path. No other module of the package
+renders text output or touches a file. One converter, ``models._plain``, turns payloads into plain data: every
+report's ``as_dict`` is ``_plain`` of its dataclass fields, and both
+renderings run it over the payload they are handed.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
 from dataclasses import asdict, dataclass, fields, replace
 
@@ -46,7 +46,7 @@ import numpy as np
 from .averaging import _expectation, _squared_dispersion_mean, build_averaged_model, discontinuity_probe, holder_fit
 from .ergodicity import classify, tv_decay_curve, w1_decay_coupling
 from .errors import ConfigError, SlowfastError
-from .metrics import measure_distance, w1_empirical
+from .metrics import _DISTANCES, measure_distance, w1_empirical
 from .models import (
     FAIL,
     CoefficientSet,
@@ -157,9 +157,7 @@ def run_averaging_convergence(
 
     ``epsilon = inf`` is accepted as a surrogate that freezes the fast
     state at y0, giving the O(1) un-averaged gap the ladder descends from.
-    Every simulation forks up to ``workers`` children writing its chunks
-    into one shared output (one chunk each by default; a killed child
-    raises SlowfastError); the report does not depend on the count.
+    ``workers`` as in ``simulate_coupled``.
     """
     _check_workers(workers)
     eps = _validate_epsilons(epsilons)
@@ -226,10 +224,8 @@ def run_l2_failure(config: SimConfig, epsilons, workers=1) -> L2Report:
     (``simulate_paired``), so the gap is the pathwise one the ergodic limit
     predicts: T times the invariant mean of (sigma(y) - sigmabar)^2.
     Terminal W1 against an independent averaged ensemble is reported
-    alongside: the laws merge while the paths refuse to. Every simulation
-    forks up to ``workers`` children writing its chunks into one shared
-    output (one chunk each by default, ``SimConfig.chunk_size``; a killed
-    child raises SlowfastError); the report does not depend on the count.
+    alongside: the laws merge while the paths refuse to. ``workers`` as
+    in ``simulate_coupled``.
     """
     _check_workers(workers)
     eps = _validate_epsilons(epsilons, surrogate=False)
@@ -271,6 +267,8 @@ def run_l2_failure(config: SimConfig, epsilons, workers=1) -> L2Report:
 _CONFIG_DEFAULTS = dict(dt=0.01, horizon=1.0, n_paths=10_000)
 MAX_X_GRID_NODES = 2**20
 _SIM_CONFIG_HELP = "JSON file with SimConfig fields (flat key-value)"
+# parsed arguments the manifest holds elsewhere (seed, the resolved config) or not at all
+_UNRECORDED = ("command", "seed", "out", "config")
 
 
 def _dump_json(obj) -> str:
@@ -295,6 +293,13 @@ def _csv_table(header, *columns) -> str:
     """One csv row per index of the columns, every cell a float repr."""
     rows = (",".join(f"{float(v)!r}" for v in row) for row in zip(*columns))
     return "\n".join([header, *rows]) + "\n"
+
+
+def _check_writable(path):
+    """Refuse a path that names a directory or sits in a missing one, before anything is computed."""
+    missing = not os.path.isdir(os.path.dirname(path) or ".")
+    if missing or os.path.isdir(path):
+        raise ConfigError(f"cannot write {path!r}: {os.strerror(errno.ENOENT if missing else errno.EISDIR)}")
 
 
 def _write(path, text):
@@ -360,13 +365,17 @@ def _parse_pairs(text):
     return pairs
 
 
-def _read_config(path, known):
-    """The --config file: a flat JSON object with keys among ``known``."""
+def _read_json(path, what):
     try:
         with open(path) as fh:
-            overrides = json.load(fh)
+            return json.load(fh)
     except (OSError, ValueError) as err:
-        raise ConfigError(f"cannot read --config {path!r}: {err}") from None
+        raise ConfigError(f"cannot read {what} {path!r}: {err}") from None
+
+
+def _read_config(path, known):
+    """The --config file: a flat JSON object with keys among ``known``."""
+    overrides = _read_json(path, "--config")
     if not isinstance(overrides, dict):
         raise ConfigError("--config must hold a flat JSON object")
     unknown = set(overrides) - set(known)
@@ -386,10 +395,6 @@ def _load_sim_config(args, epsilon):
     return SimConfig(**merged)
 
 
-def _resolved_seed(args):
-    return int(args.seed) if args.seed is not None else 0
-
-
 def _cmd_list_models(args, model):
     rows = [
         {"name": m.name, "dim_slow": m.dim_slow, "dim_fast": m.dim_fast, "description": m.description}
@@ -403,25 +408,22 @@ def _cmd_list_models(args, model):
             lines.append(f"{r['name']},{r['dim_slow']},{r['dim_fast']},\"{desc}\"")
         return "\n".join(lines) + "\n"
 
-    return rows, {}, csv
+    return rows, csv, None
 
 
 def _cmd_stationary(args, model):
     rho = stationary_density(model, args.x)
     payload = {"model": args.model, "x": args.x, "grid": rho.grid, "values": rho.values}
-    return payload, {"x": args.x}, lambda: _csv_table("y,density", rho.grid, rho.values)
+    return payload, lambda: _csv_table("y,density", rho.grid, rho.values), None
 
 
 def _cmd_classify(args, model):
-    return classify(model, args.x).as_dict(), {"x": args.x}, None
+    return classify(model, args.x).as_dict(), None, None
 
 
 def _cmd_distance(args, model):
-    p = stationary_density(model, args.x1)
-    q = stationary_density(model, args.x2)
-    report = measure_distance(args.metric, p, q)
-    payload = {"model": args.model, "x1": args.x1, "x2": args.x2, **report.as_dict()}
-    return payload, {"metric": args.metric, "x1": args.x1, "x2": args.x2}, None
+    report = measure_distance(args.metric, stationary_density(model, args.x1), stationary_density(model, args.x2))
+    return {"model": args.model, "x1": args.x1, "x2": args.x2, **report.as_dict()}, None, None
 
 
 def _cmd_averaged(args, model):
@@ -429,21 +431,17 @@ def _cmd_averaged(args, model):
     payload = {"source": avg.source, "method": avg.method, "x_grid": avg.x_grid,
                "b_bar": avg.b_bar, "a_bar": avg.a_bar, "sigma_bar": avg.sigma_bar}
     csv = lambda: _csv_table("x,b_bar,a_bar,sigma_bar", avg.x_grid, avg.b_bar, avg.a_bar, avg.sigma_bar)
-    return payload, {"x_grid": args.x_grid}, csv
+    return payload, csv, None
 
 
 def _cmd_holder(args, model):
-    report = holder_fit(
-        args.metric, model, _parse_pairs(args.pairs), lambda2=args.lambda2, k3=args.k3
-    )
-    params = {"metric": args.metric, "pairs": args.pairs, "lambda2": args.lambda2, "k3": args.k3}
-    return report.as_dict(), params, None
+    report = holder_fit(args.metric, model, _parse_pairs(args.pairs), lambda2=args.lambda2, k3=args.k3)
+    return report.as_dict(), None, None
 
 
 def _cmd_probe(args, model):
     record = discontinuity_probe(model, args.x0, _parse_floats(args.deltas, "--deltas"))
-    payload = {"model": args.model, "x0": args.x0, **record}
-    return payload, {"x0": args.x0, "deltas": args.deltas}, None
+    return {"model": args.model, "x0": args.x0, **record}, None, None
 
 
 def _cmd_converge(args, model):
@@ -454,9 +452,7 @@ def _cmd_converge(args, model):
     config = _load_sim_config(args, anchor)
     report = run_averaging_convergence(model, eps, config, functionals=args.functionals,
                                        workers=args.workers)
-    params = {"epsilons": args.epsilons, "functionals": bool(args.functionals),
-              "sim_config": asdict(config)}
-    return report.as_dict(), params, None
+    return report.as_dict(), None, config
 
 
 def _cmd_l2fail(args, model):
@@ -465,8 +461,7 @@ def _cmd_l2fail(args, model):
     eps = _validate_epsilons(_parse_floats(args.epsilons, "--epsilons"), surrogate=False)
     config = _load_sim_config(args, eps[0])
     report = run_l2_failure(config, eps, workers=args.workers)
-    params = {"epsilons": args.epsilons, "sim_config": asdict(config)}
-    return report.as_dict(), params, None
+    return report.as_dict(), None, config
 
 
 def _cmd_decay(args, model):
@@ -483,11 +478,9 @@ def _cmd_decay(args, model):
             n_paths = _read_config(args.config, {"n_paths"}).get("n_paths", n_paths)
         curve = w1_decay_coupling(
             model, args.x, args.y0, args.y_other, times,
-            n_paths=n_paths, seed=_resolved_seed(args), workers=args.workers,
+            n_paths=n_paths, seed=args.seed or 0, workers=args.workers,
         )
-    params = {"x": args.x, "y0": args.y0, "y_other": args.y_other, "times": args.times,
-              "mode": args.mode}
-    return curve.as_dict(), params, lambda: _csv_table("t,value", curve.times, curve.values)
+    return curve.as_dict(), lambda: _csv_table("t,value", curve.times, curve.values), None
 
 
 _HANDLERS = {
@@ -519,9 +512,8 @@ def _build_parser():
                         help="artifact path; a .manifest.json is written beside it")
         sp.add_argument("--format", choices=("json", "csv"), default="json")
         sp.add_argument("--workers", default=1,
-                        help="processes for converge, l2fail and decay --mode coupling (default 1), "
-                             "at most one per usable core and chunk; by default the paths form one chunk "
-                             "per process, split above 4096 paths; results do not depend on it")
+                        help="processes for converge, l2fail and decay --mode coupling (default 1); "
+                             "no result depends on it")
         if config_help is not None:
             sp.add_argument("--config", default=None, help=config_help)
 
@@ -538,7 +530,7 @@ def _build_parser():
 
     sp = sub.add_parser("distance", help="distance between two frozen invariant densities")
     common(sp)
-    sp.add_argument("--metric", choices=("tv", "w1", "wbl"), required=True)
+    sp.add_argument("--metric", choices=tuple(_DISTANCES), required=True)
     sp.add_argument("--x1", type=float, required=True)
     sp.add_argument("--x2", type=float, required=True)
 
@@ -549,7 +541,7 @@ def _build_parser():
 
     sp = sub.add_parser("holder", help="power-law fit of invariant-measure distances")
     common(sp)
-    sp.add_argument("--metric", choices=("tv", "w1", "wbl"), required=True)
+    sp.add_argument("--metric", choices=tuple(_DISTANCES), required=True)
     sp.add_argument("--pairs", required=True,
                     help="'x1,x2;x1,x2;...'; a value starting with - needs the = form, --pairs='-1,0'")
     sp.add_argument("--lambda2", type=float, default=None)
@@ -595,9 +587,12 @@ def cli_main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         args.workers = _parse_workers(args.workers)
+        if args.out is not None:
+            _check_writable(args.out)
+            _check_writable(args.out + ".manifest.json")
         # l2fail validates its optional --model itself; list-models has none
         model = None if args.command in ("list-models", "l2fail") else get_builtin(args.model)
-        payload, params, csv = _HANDLERS[args.command](args, model)
+        payload, csv, config = _HANDLERS[args.command](args, model)
         if args.format == "json":
             artifact = _dump_json(payload)
         else:
@@ -606,16 +601,14 @@ def cli_main(argv=None) -> int:
             sys.stdout.write(artifact)
             return 0
         _write(args.out, artifact)
+        params = {k: v for k, v in vars(args).items() if k not in _UNRECORDED}
+        params["argv"] = argv
+        if config is not None:
+            params["sim_config"] = asdict(config)
         manifest = {
             "command": args.command,
-            "seed": _resolved_seed(args),
-            "params": {
-                **params,
-                "model": args.model,
-                "format": args.format,
-                "workers": args.workers,
-                "argv": argv,
-            },
+            "seed": (args.seed or 0) if config is None else config.seed,
+            "params": params,
             "artifact_version": ARTIFACT_VERSION,
         }
         _write(args.out + ".manifest.json", _dump_json(manifest))
@@ -631,11 +624,14 @@ def rerun_from_manifest(manifest_path, out=None, workers=None) -> int:
     The manifest stores the exact argv; ``out`` and ``workers`` override
     the corresponding flags so a rerun can write elsewhere. No result
     depends on ``--workers``, so a manifest replays to the same artifact
-    at any worker count.
+    at any worker count. A manifest that is missing, is not JSON or holds
+    no ``params.argv`` is a ConfigError naming its path.
     """
-    with open(manifest_path) as fh:
-        manifest = json.load(fh)
-    argv = list(manifest["params"]["argv"])
+    manifest = _read_json(manifest_path, "manifest")
+    try:
+        argv = list(manifest["params"]["argv"])
+    except (KeyError, TypeError):
+        raise ConfigError(f"manifest {manifest_path!r} has no params.argv") from None
 
     def override(flag, value):
         if value is None:

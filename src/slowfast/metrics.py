@@ -208,29 +208,27 @@ def wbl_distance(p, q) -> float:
     return _transport_cost(u, wu, v, wv)
 
 
+# name -> (distance, its method unless tv or w1 read two sample measures)
+_DISTANCES = {"tv": (tv_distance, "quadrature"), "w1": (w1_distance, "cdf-integral"),
+              "wbl": (wbl_distance, "discrete-transport")}
+
+
 def measure_distance(metric, p, q) -> DistanceReport:
-    """Uniform entry point used by the command line: one metric, one report."""
-    pd = _is_density(p)
-    qd = _is_density(q)
-    if metric == "tv":
-        value = tv_distance(p, q)
-        method = "quadrature" if pd else "sorted-samples"
-        resolution = union_grid(p.grid, q.grid).size if pd else p.n_samples + q.n_samples
-    elif metric == "w1":
-        value = w1_distance(p, q)
-        if pd and qd:
-            method = "cdf-integral"
-            resolution = union_grid(p.grid, q.grid).size
-        elif not pd and not qd:
-            method = "sorted-samples"
-            resolution = p.n_samples + q.n_samples
-        else:
-            method = "cdf-integral"
-            resolution = (p.grid.size if pd else p.n_samples) + (q.grid.size if qd else q.n_samples)
-    elif metric == "wbl":
-        value = wbl_distance(p, q)
-        method = "discrete-transport"
-        resolution = atomize(p)[0].size + atomize(q)[0].size
+    """Uniform entry point used by the command line: one metric, one report.
+
+    The resolution counts the nodes the method read: the union grid of two
+    densities for tv and w1, otherwise each input's atoms (wbl), grid or samples.
+    """
+    if metric not in _DISTANCES:
+        raise ConfigError(f"unknown metric {metric!r}; expected one of {', '.join(_DISTANCES)}")
+    distance, method = _DISTANCES[metric]
+    pd, qd, transport = _is_density(p), _is_density(q), distance is wbl_distance
+    value = distance(p, q)
+    if not (pd or qd or transport):
+        method = "sorted-samples"
+    if pd and qd and not transport:
+        resolution = union_grid(p.grid, q.grid).size
     else:
-        raise ConfigError(f"unknown metric {metric!r}; expected tv, w1, or wbl")
+        nodes = lambda m: atomize(m)[0].size if transport else m.grid.size if _is_density(m) else m.n_samples
+        resolution = nodes(p) + nodes(q)
     return DistanceReport(metric=metric, value=value, method=method, resolution=int(resolution))

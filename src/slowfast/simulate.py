@@ -14,13 +14,9 @@ Randomness
 ----------
 Every path owns counter-based streams keyed by (seed, path index,
 equation tag, variant) through Philox. The key layout makes ensembles
-bit-identical at any chunking and worker count (``workers > 1`` forks at
-most one child per chunk and usable core, all writing into one shared
-output, and a killed child raises; by default one chunk per process).
-Coupled and averaged runs default to ``workers=1``; frozen runs default to
-``workers=None``, one process per usable core, so they fork unasked. The
-Philox keys of a chunk's paths are hashed together, in uint32 arithmetic
-over the chunk, to the bits numpy's SeedSequence gives each path alone
+bit-identical at any chunking and worker count. The Philox keys of a
+chunk's paths are hashed together, in uint32 arithmetic over the chunk,
+to the bits numpy's SeedSequence gives each path alone
 (``path_stream``). A simulator names only the (equation tag, variant)
 keys of its noise; the shared loop draws them for each chunk in time
 blocks of at most 16 MiB per noise array, continuing each path's stream
@@ -31,6 +27,16 @@ so a blow-up is still reported at its first path and step.
 ``simulate_paired`` steps an averaged path inside the coupled loop on the
 coupled run's own slow draws, summed over each slow step, which makes
 pathwise comparisons of the two equations meaningful.
+
+Workers and chunks
+------------------
+``workers > 1`` (None: one per usable core) forks at most one child per
+chunk and usable core, none beside other live threads; the children write
+into one output shared with the parent, and one that dies unreported
+raises SlowfastError. ``SimConfig.chunk_size`` None gives one equal chunk
+per process, cut into equal chunks of at most 4096 paths; an integer cuts
+chunks of that many. Coupled and averaged runs default to ``workers=1``,
+frozen runs to None.
 """
 
 from __future__ import annotations
@@ -107,15 +113,10 @@ class SimConfig:
         Fast-grid calibration h0: coupled runs use h <= epsilon * h0,
         frozen runs h <= h0.
     chunk_size : int or None
-        Paths integrated per vectorized block; affects memory and speed,
-        never results. None (the default) gives each process of the run one
-        chunk of equal size, split further where that would exceed 4096
-        paths; an integer gives chunks of exactly that many paths, the last
-        one short. A chunk's noise is drawn in time blocks of at most 16 MiB
-        per noise array, so the stored output is the one part of memory
-        that grows with the horizon. A blow-up is reported at the first
-        path and step of the first chunk that has one, so a default-chunk
-        run may name another path than a run in smaller chunks.
+        Paths per vectorized block, as in ``simulate_coupled``; never
+        changes results. A blow-up is reported at the first path and step
+        of the first chunk that has one, so a default-chunk run may name
+        another path than a run in smaller chunks.
     """
 
     epsilon: float
@@ -496,7 +497,8 @@ def simulate_coupled(model: ModelSpec, config: SimConfig, workers=1) -> Ensemble
     """Integrate the coupled pair for every path in the ensemble.
 
     Both states advance on the shared fast grid; slow states are recorded
-    on the dt grid according to ``config.store``. Raises ConfigError when
+    on the dt grid according to ``config.store``. ``workers`` and the
+    chunks follow the module docstring's rule. Raises ConfigError when
     dt / epsilon exceeds the stiffness guard, and BlowUpError naming the
     path and step if any state leaves the representable range.
     """
@@ -516,7 +518,7 @@ def simulate_paired(model: ModelSpec, avg, config: SimConfig, workers=1):
 def _frozen_copies(model: ModelSpec, x, config: SimConfig, y0s, burn_in=0.0, workers=None):
     """Copies of the frozen fast equation started at ``y0s`` on one noise, stored from ``burn_in`` on.
 
-    ``workers`` goes to ``_euler_loop``; None, one process per usable core.
+    ``workers`` as in ``simulate_frozen``.
     """
     if not np.all(model.slow_domain.contains(x)):
         raise ConfigError("frozen slow coordinate outside the slow domain")
@@ -548,8 +550,8 @@ def simulate_frozen(model: ModelSpec, x, config: SimConfig, *, burn_in=0.0, work
     written, although every step is still taken and checked. For a uniform
     layout ``slow`` holds the constant slow coordinate as a read-only
     broadcast view of the fast table's shape, so it costs no memory.
-    ``workers`` (default None, one process per usable core) forks the run
-    as ``simulate_coupled`` does; the result does not depend on it.
+    ``workers`` as in ``simulate_coupled``, but None by default: one
+    process per usable core.
     """
     times, (fast,) = _frozen_copies(model, x, config, (config.y0,), burn_in=burn_in, workers=workers)
     return Ensemble(times=times, slow=np.broadcast_to(float(x), fast.shape), fast=fast)
@@ -562,7 +564,7 @@ def frozen_pair_gap(model: ModelSpec, x, config: SimConfig, y0_other, workers=No
     same Brownian increments, so the gap decays at the coupling rate of the
     frozen equation. Returns (times, gaps) with gaps of shape
     (n_paths, n_stored) on the grid selected by ``config.store``.
-    ``workers`` is that of ``simulate_frozen``: by default it forks.
+    ``workers`` as in ``simulate_frozen``.
     """
     times, (y, y_other) = _frozen_copies(model, x, config, (config.y0, y0_other), workers=workers)
     return times, np.abs(y - y_other)

@@ -379,9 +379,8 @@ def empirical_invariant(model: ModelSpec, x, config: SimConfig, workers=None) ->
     t = horizon always survives it; a process with no invariant law raises
     NotPositiveRecurrentError before any path runs. Only the stored times
     from the burn-in on are ever held, and they are sorted in place, so the
-    memory is the pooled samples plus one noise block per process. The run
-    forks as ``simulate_frozen`` does, by default one process per usable
-    core (``workers=None``); the samples do not depend on it.
+    memory is the pooled samples plus one noise block per process.
+    ``workers`` as in ``simulate_frozen``.
     """
     if config.store == "terminal":
         raise ConfigError("empirical invariant needs store='full' or 'strided'")

@@ -1,3 +1,6 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -231,6 +234,28 @@ def test_pde_rejects_diffusion_vanishing_on_an_explicit_grid(solve):
     grid = np.linspace(-4.0, 4.0, 81)  # holds the node y = 0 where g = 0
     with pytest.raises(DegenerateDiffusionError):
         solve(vanishing, grid)
+
+
+@pytest.fixture(scope="module")
+def boxed_ou(pure_fast):
+    # pure-fast-l2's fast OU, reflected at -2 and 2: a standard normal cut to [-2, 2]
+    return replace(pure_fast, fast_domain=StateDomain(INTERVAL, -2.0, 2.0), analytic=None)
+
+
+def test_interval_fast_domain_gives_the_truncated_normal(boxed_ou):
+    rho = stationary_density(boxed_ou, 0.5)
+    assert (rho.grid[0], rho.grid[-1]) == (-2.0, 2.0)
+    mass = math.erf(2.0 / math.sqrt(2.0))
+    np.testing.assert_allclose(rho.values, gaussian_pdf(rho.grid, 0.0) / mass, rtol=0.0, atol=1e-8)
+    assert classify(boxed_ou, 0.5).integrals["note"].startswith("compact reflecting fast domain")
+
+
+@pytest.mark.parametrize("y0", [1.5, 1.9])
+def test_interval_fast_domain_keeps_the_pde_grid_inside(boxed_ou, y0):
+    # at y0 = 1.9 the widening around the start would pass 2 and is clipped
+    law = forward_pde_solve(boxed_ou, 0.5, y0, 0.5)
+    assert (law.grid[0], law.grid[-1]) == (-2.0, 2.0)
+    np.testing.assert_array_equal(_default_pde_grid(boxed_ou, 0.5, y0), law.grid)
 
 
 def test_heat_kernel():

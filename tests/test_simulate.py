@@ -251,6 +251,35 @@ def test_frozen_runs_fork_by_default(example21, forks):
         assert_no_children()
 
 
+_VALID = dict(epsilon=0.1, dt=0.01, horizon=0.1, n_paths=4, seed=0)
+
+
+@pytest.mark.parametrize(
+    "run, message",
+    [
+        (lambda m: SimConfig(**{**_VALID, "epsilon": 0.0}), "epsilon must be positive"),
+        (lambda m: SimConfig(**{**_VALID, "dt": -0.01}), "dt must be positive"),
+        (lambda m: SimConfig(**{**_VALID, "dt": 0.1}), "dt must be smaller than horizon"),
+        (lambda m: SimConfig(**{**_VALID, "n_paths": 0}), "n_paths must be at least 1"),
+        (lambda m: SimConfig(**_VALID, store="every"), "store must be one of"),
+        (lambda m: SimConfig(**_VALID, store="strided", stride=0), "stride must be at least 1"),
+        (lambda m: SimConfig(**_VALID, fast_substep=0.0), "fast_substep must be positive"),
+        (lambda m: simulate_coupled(m, SimConfig(**_VALID, x0=-0.5)), "x0 outside the slow domain"),
+        (lambda m: simulate_coupled(m, SimConfig(**_VALID, y0=-1.0)), "y0 outside the fast domain"),
+        (lambda m: simulate_frozen(m, 1.5, SimConfig(**_VALID), workers=1),
+         "frozen slow coordinate outside the slow domain"),
+        (lambda m: frozen_pair_gap(m, 0.5, SimConfig(**_VALID), -1.0, workers=1),
+         "initial fast state outside the fast domain"),
+    ],
+    ids=["epsilon", "dt", "dt-horizon", "n_paths", "store", "stride", "fast_substep", "coupled-x0", "coupled-y0",
+         "frozen-x", "frozen-y0"],
+)
+def test_invalid_configs_and_starts_raise_config_error(example21, run, message):
+    # example21's slow domain is [0, 1] and its fast one [0, inf)
+    with pytest.raises(ConfigError, match=message):
+        run(example21)
+
+
 def test_stiffness_guard(ou):
     with pytest.raises(ConfigError, match="dt"):
         cfg = SimConfig(epsilon=0.01, dt=0.01, horizon=0.1, n_paths=2, seed=0)
